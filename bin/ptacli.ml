@@ -858,9 +858,12 @@ let certify_cmd =
   Cmd.v
     (Cmd.info "certify"
        ~doc:
-         "Independently check that a stored result is a genuine fixpoint of the program it claims to \
-          solve: every extracted input relation must be contained in the solution, and one full \
-          application of every resolved rule must add nothing (BDD containment per rule).  The checker \
+         "Independently check that a stored result is closed under the program it claims to solve: \
+          every extracted input relation must be contained in the solution, and one full application \
+          of every resolved rule must add nothing (BDD containment per rule).  A pass proves the result \
+          is a model of the rules containing the inputs, hence a sound over-approximation of the least \
+          fixpoint; minimality is not checked, so a closed superset of the least fixpoint also passes.  \
+          The checker \
           reuses the solver's optimized rule plans but not its fixpoint driver, so a solver bug, a \
           CRC-clean on-disk corruption, or a wrong incremental shortcut is caught here even when \
           $(b,store verify) reports every checksum healthy.  A pass records a $(b,certified) mark in the \
@@ -1524,7 +1527,8 @@ let store_group_cmd =
          ~doc:
            "Semantic twin of $(b,verify): alias for the top-level $(b,ptacli certify) verb.  $(b,verify) \
             proves the bytes on disk are the bytes that were written; $(b,certify) proves the relations \
-            they encode are a genuine fixpoint of $(i,PROGRAM.jir)'s rules.  Both can disagree — a \
+            they encode are closed under $(i,PROGRAM.jir)'s rules and contain its inputs (a closed \
+            superset of the least fixpoint also passes).  Both can disagree — a \
             CRC-clean tuple flip passes $(b,verify) and fails here.")
       Term.(const run_certification $ program_arg $ dir_arg $ budget_term $ mem_term $ max_witness_term)
   in

@@ -119,6 +119,14 @@ type man = {
   mutable cache_scratch : int array;
   mutable reloc_scratch : int array;
   mutable order_scratch : int array;
+  (* Evaluation contexts (see [eval_ctx]) read a frozen snapshot's
+     pages below [base] and allocate from [base] up; an ordinary
+     manager has [base = 2], right after the terminals.  [gen] is 0 for
+     an ordinary manager; a ctx bumps it on every [ctx_reset] and folds
+     it into the op code of each cache entry that names a handle at or
+     above [base]. *)
+  base : int;
+  mutable gen : int;
 }
 
 exception Limit_exceeded of Budget.reason
@@ -202,7 +210,7 @@ let high m n =
    the level. *)
 let level m n = nvar m n
 
-let live_nodes m = m.num_slots - 2 - m.num_free
+let live_nodes m = m.num_slots - m.base - m.num_free
 let peak_live_nodes m = m.peak_live
 let reset_peak m = m.peak_live <- live_nodes m
 let gc_count m = m.gcs
@@ -228,6 +236,42 @@ let hash3 a b c = (a * 12582917) lxor (b * 4256249) lxor (c * 741457)
 
 let sweep_stale_spills = A.sweep_stale_spills
 
+let make_man arena ~base ~buckets ~cache_bits ~gc_mode ~nvars =
+  {
+    arena;
+    pbits = arena.A.page_bits;
+    pmask = arena.A.page_mask;
+    mode = gc_mode;
+    buckets;
+    free_head = -1;
+    num_slots = base;
+    num_free = 0;
+    peak_live = 0;
+    nvars;
+    cache = Array.make ((1 lsl cache_bits) * 5) (-1);
+    cache_mask = (1 lsl cache_bits) - 1;
+    cache_h = Array.make n_classes 0;
+    cache_m = Array.make n_classes 0;
+    map_counter = 0;
+    roots = [];
+    root_lists = [];
+    root_fns = [];
+    remap_hooks = [];
+    gcs = 0;
+    marks = Bytes.create 0;
+    stack = Array.make 1024 0;
+    visited = [||];
+    var_seen = [||];
+    stamp = 0;
+    allocs = 0;
+    budget = None;
+    cache_scratch = [||];
+    reloc_scratch = [||];
+    order_scratch = [||];
+    base;
+    gen = 0;
+  }
+
 let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spill_path ?(gc_mode = Sweep) ~nvars () =
   (* A capped manager bound for the temp directory sweeps its
      predecessors' orphaned scratch files first — a SIGKILLed capped
@@ -244,40 +288,7 @@ let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spi
     let rec up c = if c >= want then c else up (c * 2) in
     up 1024
   in
-  let m =
-    {
-      arena;
-      pbits = arena.A.page_bits;
-      pmask = arena.A.page_mask;
-      mode = gc_mode;
-      buckets = Array.make bcap (-1);
-      free_head = -1;
-      num_slots = 2;
-      num_free = 0;
-      peak_live = 0;
-      nvars;
-      cache = Array.make ((1 lsl cache_bits) * 5) (-1);
-      cache_mask = (1 lsl cache_bits) - 1;
-      cache_h = Array.make n_classes 0;
-      cache_m = Array.make n_classes 0;
-      map_counter = 0;
-      roots = [];
-      root_lists = [];
-      root_fns = [];
-      remap_hooks = [];
-      gcs = 0;
-      marks = Bytes.create 0;
-      stack = Array.make 1024 0;
-      visited = [||];
-      var_seen = [||];
-      stamp = 0;
-      allocs = 0;
-      budget = None;
-      cache_scratch = [||];
-      reloc_scratch = [||];
-      order_scratch = [||];
-    }
-  in
+  let m = make_man arena ~base:2 ~buckets:(Array.make bcap (-1)) ~cache_bits ~gc_mode ~nvars in
   let p0 = A.add_page arena in
   A.set_tail arena p0;
   (* The terminal page carries a permanent extra pin on top of any
@@ -395,7 +406,9 @@ let grow m =
   let p = A.add_page m.arena in
   A.set_tail m.arena p;
   let cap = A.capacity m.arena in
-  if cap > Array.length m.buckets then begin
+  (* A ctx keeps its bucket array: rehashing would rewrite [next] in
+     the shared frozen pages. *)
+  if cap > Array.length m.buckets && m.base = 2 then begin
     let nb = ref (Array.length m.buckets) in
     while !nb < cap do
       nb := !nb * 2
@@ -483,11 +496,17 @@ let op_exist = 9
 let op_relprod = 10
 let op_replace = 11
 
+(* An entry naming a ctx-local handle is stored under [op lor gen]
+   (op codes fit in 4 bits, [gen] steps by 16), so a [ctx_reset] that
+   frees those handles also retires the entry, while entries over
+   frozen handles only are stored under the bare [op] and keep hitting.
+   An ordinary manager has [gen = 0] and stores every entry bare. *)
 let cache_lookup m cls op a b c =
   let slot = hash3 (op + (a * 31)) b c land m.cache_mask in
   let i = slot * 5 in
   let cache = m.cache in
-  if cache.(i) = op && cache.(i + 1) = a && cache.(i + 2) = b && cache.(i + 3) = c then begin
+  let t = cache.(i) in
+  if (t = op || t = op lor m.gen) && cache.(i + 1) = a && cache.(i + 2) = b && cache.(i + 3) = c then begin
     m.cache_h.(cls) <- m.cache_h.(cls) + 1;
     cache.(i + 4)
   end
@@ -500,7 +519,8 @@ let cache_store m op a b c r =
   let slot = hash3 (op + (a * 31)) b c land m.cache_mask in
   let i = slot * 5 in
   let cache = m.cache in
-  cache.(i) <- op;
+  cache.(i) <-
+    (if m.gen = 0 || (a < m.base && b < m.base && c < m.base && r < m.base) then op else op lor m.gen);
   cache.(i + 1) <- a;
   cache.(i + 2) <- b;
   cache.(i + 3) <- c;
@@ -1466,6 +1486,7 @@ let gc_compact m =
   m.gcs <- m.gcs + 1
 
 let gc m =
+  if m.base > 2 then invalid_arg "Bdd.gc: evaluation context";
   match m.mode with
   | Sweep -> gc_sweep m
   | Compact -> gc_compact m
@@ -1474,44 +1495,36 @@ let gc m =
 
    Multicore warm-query serving: [freeze] snapshots a manager's node
    table into an immutable value that any number of domains may read
-   concurrently, and [eval_ctx] gives each domain a private arena for
-   the fresh nodes a query allocates.
+   concurrently, and [eval_ctx] gives each domain an ordinary manager
+   over it, so queries run the same kernels as the solver.
 
    The snapshot is the post-GC page set, copied page by page out of
-   the buffer pool into plain immutable arrays (spilled pages are
-   faulted in to be copied, so a frozen space is always fully
-   resident).  Under [Sweep] GC the surviving handles keep their slots,
-   so every live handle denotes exactly the same function in the
-   frozen space.  Under [Compact] the collection renumbers — but it
-   also rewrites every registered root through the remap protocol, so
-   handles read back from their rooted homes after [freeze] returns
-   are equally valid in the snapshot, and the frozen pages come out
-   level-clustered for the same locality win the live manager gets.
-   Either way, answers computed against a frozen space are
-   bit-identical to the live evaluator's.
+   the buffer pool into plain arrays (spilled pages are faulted in to
+   be copied, so a frozen space is always fully resident).  Under
+   [Sweep] GC the surviving handles keep their slots; under [Compact]
+   the collection renumbers but also rewrites every registered root,
+   so handles read back from their rooted homes after [freeze] returns
+   are valid in the snapshot, and the frozen pages come out
+   level-clustered.  Either way, answers computed against a frozen
+   space are bit-identical to the live evaluator's.
 
-   A ctx's fresh nodes occupy the handle range [fz_base, ...): a handle
-   below the base reads the frozen pages, at or above it the ctx's own
-   (flat, private, never-spilled) arena.  Frozen nodes never point at
-   ctx nodes (they existed first), so the ctx constructor consults the
-   frozen unique table only when both children are frozen.  The ctx op
-   cache is stride-6 with a generation stamp: [ctx_reset] disposes
-   every query-local node in O(live ctx nodes) by clearing the local
-   unique table and bumping the generation, while cache entries whose
-   operands AND result are all frozen stay valid across resets (warm
-   repeated queries stay warm).
+   A ctx is an uncapped manager whose spine holds the frozen pages and
+   whose bucket array is a private copy of the frozen heads.  Its fresh
+   nodes go in private pages from [base], the first page boundary at
+   or above the frozen slots.  A fresh node is prepended to its bucket
+   chain, so every chain is ctx nodes first, then frozen nodes, and no
+   write ever lands in a frozen page: a ctx never rehashes, grows its
+   buckets or collects.  Frozen nodes never point at ctx nodes (they
+   existed first).
 
-   No operation on a ctx ever writes to the frozen pages, takes a
-   lock, or touches the originating manager — the whole query path is
-   wait-free with respect to other domains. *)
+   No operation on a ctx writes to the frozen pages, takes a lock, or
+   touches the originating manager — the whole query path is wait-free
+   with respect to other domains. *)
 
 type frozen = {
-  fz_pages : int array array; (* packed stride-4 pages, handles [0, fz_base) *)
+  fz_pages : int array array; (* never written after [freeze] *)
   fz_page_bits : int;
-  fz_page_mask : int;
-  fz_buckets : int array;
-  fz_mask : int;
-  fz_base : int; (* ctx handles start here *)
+  fz_buckets : int array; (* unique-table heads, copied into each ctx *)
   fz_nvars : int;
   fz_live : int;
 }
@@ -1529,10 +1542,7 @@ let freeze m =
   {
     fz_pages = pages;
     fz_page_bits = a.A.page_bits;
-    fz_page_mask = a.A.page_mask;
     fz_buckets = Array.copy m.buckets;
-    fz_mask = Array.length m.buckets - 1;
-    fz_base = m.num_slots;
     fz_nvars = m.nvars;
     fz_live = live_nodes m;
   }
@@ -1546,397 +1556,38 @@ let frozen_bytes fz =
   in
   (pages + Array.length fz.fz_buckets) * 8
 
-(* Frozen-page field read; the terminals live in page 0 with
-   [terminal_var] in the var slot, exactly as in the live arena. *)
-let[@inline] fzf fz n k = fz.fz_pages.(n lsr fz.fz_page_bits).(((n land fz.fz_page_mask) * 4) + k)
+type ctx = man
 
-type ctx = {
-  c_fz : frozen;
-  mutable c_nodes : int array; (* stride-4 arena; slot s is handle fz_base + s *)
-  mutable c_buckets : int array; (* chain heads, handles, -1 = empty *)
-  mutable c_mask : int;
-  mutable c_num : int; (* ctx-local nodes allocated since the last reset *)
-  c_cache : int array; (* stride-6 [op; a; b; c; result; generation] *)
-  c_cache_mask : int;
-  mutable c_gen : int;
-  mutable c_allocs : int; (* total ctx allocations, never reset *)
-  mutable c_hits : int;
-  mutable c_misses : int;
-  mutable c_budget : Budget.t option;
-}
+(* 2^14 op-cache entries (640 KiB) per ctx, a quarter of {!create}'s
+   default: a serve pool holds one ctx per worker. *)
+let ctx_cache_bits = 14
 
-let eval_ctx ?(node_hint = 1 lsl 12) ?(cache_bits = 14) fz =
-  let cap =
-    let rec up c = if c >= node_hint then c else up (c * 2) in
-    up 1024
+(* Op codes fit below it; see [cache_lookup]. *)
+let gen_step = 16
+
+let eval_ctx fz =
+  let arena = A.create ~page_bits:fz.fz_page_bits () in
+  let npages = Array.length fz.fz_pages in
+  A.swap arena fz.fz_pages npages;
+  let m =
+    make_man arena ~base:(npages * arena.A.slots_per_page) ~buckets:(Array.copy fz.fz_buckets)
+      ~cache_bits:ctx_cache_bits ~gc_mode:Sweep ~nvars:fz.fz_nvars
   in
-  {
-    c_fz = fz;
-    c_nodes = Array.make (cap * 4) (-1);
-    c_buckets = Array.make cap (-1);
-    c_mask = cap - 1;
-    c_num = 0;
-    c_cache = Array.make ((1 lsl cache_bits) * 6) (-1);
-    c_cache_mask = (1 lsl cache_bits) - 1;
-    c_gen = 0;
-    c_allocs = 0;
-    c_hits = 0;
-    c_misses = 0;
-    c_budget = None;
-  }
+  m.gen <- gen_step;
+  m
 
-let ctx_frozen c = c.c_fz
-let ctx_allocations c = c.c_allocs
-let ctx_live_nodes c = c.c_num
-let ctx_set_budget c b = c.c_budget <- b
-let ctx_cache_stats c = (c.c_hits, c.c_misses)
-
-let ctx_reset c =
-  if c.c_num > 0 then begin
-    Array.fill c.c_buckets 0 (Array.length c.c_buckets) (-1);
-    c.c_num <- 0
-  end;
-  (* Bumping the generation invalidates every cache entry that touches
-     a (now dead) ctx handle; entries over frozen handles only are kept
-     by the lookup's cross-generation check. *)
-  c.c_gen <- c.c_gen + 1
-
-let ctx_dispose c =
-  ctx_reset c;
-  (* Drop the arena and unique table so the only remaining retained
-     storage is the (shared) frozen space and the fixed-size op cache;
-     a follower swapping snapshots can therefore release an old space
-     by disposing its ctxs and dropping the [frozen] value — both are
-     then ordinary unreachable heap blocks for the GC.  A disposed ctx
-     must not be used again: the first fresh allocation through it
-     lands in [ctx_grow]'s zero-capacity guard and raises. *)
-  c.c_nodes <- [||];
-  c.c_buckets <- [| -1 |];
-  c.c_mask <- 0;
-  c.c_budget <- None
-
-(* Field reads dispatch on the handle range; terminals live in the
-   frozen pages (slots 0/1, var = terminal_var), so [cvar] orders
-   levels correctly without a terminal test. *)
-let[@inline] cvar c n = if n < c.c_fz.fz_base then fzf c.c_fz n 0 else c.c_nodes.((n - c.c_fz.fz_base) * 4)
-let[@inline] clow c n = if n < c.c_fz.fz_base then fzf c.c_fz n 1 else c.c_nodes.(((n - c.c_fz.fz_base) * 4) + 1)
-let[@inline] chigh c n = if n < c.c_fz.fz_base then fzf c.c_fz n 2 else c.c_nodes.(((n - c.c_fz.fz_base) * 4) + 2)
-
-let ctx_budget_check c =
-  match c.c_budget with
-  | None -> ()
-  | Some b -> (
-    match Budget.check_nodes b ~bytes:(8 * Array.length c.c_nodes) ~live:c.c_num ~allocs:c.c_allocs () with
-    | Some reason -> raise (Limit_exceeded reason)
-    | None -> ())
-
-let ctx_grow c =
-  let cap = Array.length c.c_nodes / 4 in
-  if cap = 0 then failwith "Bdd: eval_ctx used after ctx_dispose";
-  let cap' = cap * 2 in
-  c.c_nodes <- Array.append c.c_nodes (Array.make (cap * 4) (-1));
-  c.c_buckets <- Array.make cap' (-1);
-  c.c_mask <- cap' - 1;
-  let base = c.c_fz.fz_base in
-  for s = 0 to c.c_num - 1 do
-    let b = hash3 c.c_nodes.(s * 4) c.c_nodes.((s * 4) + 1) c.c_nodes.((s * 4) + 2) land c.c_mask in
-    c.c_nodes.((s * 4) + 3) <- c.c_buckets.(b);
-    c.c_buckets.(b) <- base + s
-  done
-
-let cmk_local c v l h =
-  let base = c.c_fz.fz_base in
-  let b0 = hash3 v l h land c.c_mask in
-  let rec find n =
-    if n = -1 then -1
-    else begin
-      let s = (n - base) * 4 in
-      if c.c_nodes.(s) = v && c.c_nodes.(s + 1) = l && c.c_nodes.(s + 2) = h then n else find c.c_nodes.(s + 3)
-    end
-  in
-  let found = find c.c_buckets.(b0) in
-  if found >= 0 then found
-  else begin
-    c.c_allocs <- c.c_allocs + 1;
-    if c.c_allocs land (budget_check_interval - 1) = 0 then ctx_budget_check c;
-    if c.c_num * 4 = Array.length c.c_nodes then ctx_grow c;
-    let s = c.c_num in
-    c.c_num <- s + 1;
-    c.c_nodes.(s * 4) <- v;
-    c.c_nodes.((s * 4) + 1) <- l;
-    c.c_nodes.((s * 4) + 2) <- h;
-    (* Recompute the bucket: [ctx_grow] may have changed the mask. *)
-    let b = hash3 v l h land c.c_mask in
-    c.c_nodes.((s * 4) + 3) <- c.c_buckets.(b);
-    c.c_buckets.(b) <- base + s;
-    base + s
-  end
-
-let cmk c v l h =
-  if l = h then l
-  else begin
-    let base = c.c_fz.fz_base in
-    if l < base && h < base then begin
-      (* Both children frozen: the node may predate the freeze, in
-         which case returning the frozen handle keeps results on the
-         shared, already-canonical part of the space. *)
-      let fz = c.c_fz in
-      let b = hash3 v l h land fz.fz_mask in
-      let rec find n =
-        if n = -1 then -1
-        else if fzf fz n 0 = v && fzf fz n 1 = l && fzf fz n 2 = h then n
-        else find (fzf fz n 3)
-      in
-      let found = find fz.fz_buckets.(b) in
-      if found >= 0 then found else cmk_local c v l h
-    end
-    else cmk_local c v l h
-  end
-
-let ctx_ithvar c i =
-  if i < 0 || i >= c.c_fz.fz_nvars then invalid_arg "Bdd.ctx_ithvar";
-  cmk c i bdd_false bdd_true
-
-let ctx_nithvar c i =
-  if i < 0 || i >= c.c_fz.fz_nvars then invalid_arg "Bdd.ctx_nithvar";
-  cmk c i bdd_true bdd_false
-
-(* The ctx cache accepts an entry if it was written since the last
-   reset, or if every handle in it is frozen (such entries describe the
-   immutable part of the space and survive resets — repeated warm
-   queries hit them forever). *)
-let ccache_lookup c op a b d =
-  let i = (hash3 (op + (a * 31)) b d land c.c_cache_mask) * 6 in
-  let t = c.c_cache in
-  if
-    t.(i) = op
-    && t.(i + 1) = a
-    && t.(i + 2) = b
-    && t.(i + 3) = d
-    && (t.(i + 5) = c.c_gen
-       ||
-       let base = c.c_fz.fz_base in
-       a < base && b < base && d < base && t.(i + 4) < base)
-  then begin
-    c.c_hits <- c.c_hits + 1;
-    t.(i + 4)
-  end
-  else begin
-    c.c_misses <- c.c_misses + 1;
-    -1
-  end
-
-let ccache_store c op a b d r =
-  let i = (hash3 (op + (a * 31)) b d land c.c_cache_mask) * 6 in
-  let t = c.c_cache in
-  t.(i) <- op;
-  t.(i + 1) <- a;
-  t.(i + 2) <- b;
-  t.(i + 3) <- d;
-  t.(i + 4) <- r;
-  t.(i + 5) <- c.c_gen
-
-let rec cnot c f =
-  if f = bdd_false then bdd_true
-  else if f = bdd_true then bdd_false
-  else begin
-    let cached = ccache_lookup c op_not f 0 0 in
-    if cached >= 0 then cached
-    else begin
-      let r = cmk c (cvar c f) (cnot c (clow c f)) (cnot c (chigh c f)) in
-      ccache_store c op_not f 0 0 r;
-      r
-    end
-  end
-
-let rec cand c f g =
-  if f = g || g = bdd_true then f
-  else if f = bdd_true then g
-  else if f = bdd_false || g = bdd_false then bdd_false
-  else begin
-    let f, g = if f > g then (g, f) else (f, g) in
-    let cached = ccache_lookup c op_and f g 0 in
-    if cached >= 0 then cached
-    else begin
-      let vf = cvar c f and vg = cvar c g in
-      let r =
-        if vf = vg then cmk c vf (cand c (clow c f) (clow c g)) (cand c (chigh c f) (chigh c g))
-        else if vf < vg then cmk c vf (cand c (clow c f) g) (cand c (chigh c f) g)
-        else cmk c vg (cand c f (clow c g)) (cand c f (chigh c g))
-      in
-      ccache_store c op_and f g 0 r;
-      r
-    end
-  end
-
-let rec cor c f g =
-  if f = g || g = bdd_false then f
-  else if f = bdd_false then g
-  else if f = bdd_true || g = bdd_true then bdd_true
-  else begin
-    let f, g = if f > g then (g, f) else (f, g) in
-    let cached = ccache_lookup c op_or f g 0 in
-    if cached >= 0 then cached
-    else begin
-      let vf = cvar c f and vg = cvar c g in
-      let r =
-        if vf = vg then cmk c vf (cor c (clow c f) (clow c g)) (cor c (chigh c f) (chigh c g))
-        else if vf < vg then cmk c vf (cor c (clow c f) g) (cor c (chigh c f) g)
-        else cmk c vg (cor c f (clow c g)) (cor c f (chigh c g))
-      in
-      ccache_store c op_or f g 0 r;
-      r
-    end
-  end
-
-let rec cdiff c f g =
-  if f = bdd_false || g = bdd_true || f = g then bdd_false
-  else if g = bdd_false then f
-  else if f = bdd_true then cnot c g
-  else begin
-    let cached = ccache_lookup c op_diff f g 0 in
-    if cached >= 0 then cached
-    else begin
-      let vf = cvar c f and vg = cvar c g in
-      let r =
-        if vf = vg then cmk c vf (cdiff c (clow c f) (clow c g)) (cdiff c (chigh c f) (chigh c g))
-        else if vf < vg then cmk c vf (cdiff c (clow c f) g) (cdiff c (chigh c f) g)
-        else cmk c vg (cdiff c f (clow c g)) (cdiff c f (chigh c g))
-      in
-      ccache_store c op_diff f g 0 r;
-      r
-    end
-  end
-
-let rec cskip_cube c cube v =
-  if is_const cube then cube
-  else if cvar c cube < v then cskip_cube c (chigh c cube) v
-  else cube
-
-let rec cexist c cube f =
-  if is_const f then f
-  else begin
-    let cube = cskip_cube c cube (cvar c f) in
-    if cube = bdd_true then f
-    else begin
-      let cached = ccache_lookup c op_exist f cube 0 in
-      if cached >= 0 then cached
-      else begin
-        let v = cvar c f in
-        let r =
-          if cvar c cube = v then begin
-            let r0 = cexist c (chigh c cube) (clow c f) in
-            if r0 = bdd_true then bdd_true else cor c r0 (cexist c (chigh c cube) (chigh c f))
-          end
-          else cmk c v (cexist c cube (clow c f)) (cexist c cube (chigh c f))
-        in
-        ccache_store c op_exist f cube 0 r;
-        r
-      end
-    end
-  end
-
-let rec crelprod c cube f g =
-  if f = bdd_false || g = bdd_false then bdd_false
-  else if f = g || g = bdd_true then cexist c cube f
-  else if f = bdd_true then cexist c cube g
-  else begin
-    let vf = cvar c f and vg = cvar c g in
-    let v = if vf < vg then vf else vg in
-    let cube = cskip_cube c cube v in
-    if cube = bdd_true then cand c f g
-    else begin
-      let f, g, vf, vg = if f > g then (g, f, vg, vf) else (f, g, vf, vg) in
-      let cached = ccache_lookup c op_relprod f g cube in
-      if cached >= 0 then cached
-      else begin
-        let f0, f1 = if vf = v then (clow c f, chigh c f) else (f, f) in
-        let g0, g1 = if vg = v then (clow c g, chigh c g) else (g, g) in
-        let r =
-          if cvar c cube = v then begin
-            let r0 = crelprod c (chigh c cube) f0 g0 in
-            if r0 = bdd_true then bdd_true else cor c r0 (crelprod c (chigh c cube) f1 g1)
-          end
-          else cmk c v (crelprod c cube f0 g0) (crelprod c cube f1 g1)
-        in
-        ccache_store c op_relprod f g cube r;
-        r
-      end
-    end
-  end
-
-let ctx_not c f = cnot c f
-let ctx_and c f g = cand c f g
-let ctx_or c f g = cor c f g
-let ctx_diff c f g = cdiff c f g
-let ctx_exist c ~cube f = cexist c cube f
-let ctx_relprod c ~cube f g = crelprod c cube f g
-
-let ctx_cube_of_vars c vs =
-  let sorted = List.sort_uniq compare vs in
-  List.fold_right (fun v acc -> cmk c v bdd_false acc) sorted bdd_true
-
-let ctx_const_value c ~bits value =
-  let w = Array.length bits in
-  if w < Sys.int_size - 1 && value lsr w <> 0 then invalid_arg "Bdd.ctx_const_value: value too wide";
-  let acc = ref bdd_true in
-  for i = w - 1 downto 0 do
-    let lit = if (value lsr i) land 1 = 1 then ctx_ithvar c bits.(i) else ctx_nithvar c bits.(i) in
-    acc := cand c lit !acc
+(* Unlink the ctx nodes from the front of every chain they were
+   prepended to, which restores the frozen heads, then rewind. *)
+let ctx_reset m =
+  if m.base = 2 then invalid_arg "Bdd.ctx_reset: not an evaluation context";
+  let mask = Array.length m.buckets - 1 in
+  for n = m.base to m.num_slots - 1 do
+    let b = hash3 (nvar m n) (nlow m n) (nhigh m n) land mask in
+    let h = ref m.buckets.(b) in
+    while !h >= m.base do
+      h := nnext m !h
+    done;
+    m.buckets.(b) <- !h
   done;
-  !acc
-
-let ctx_satcount c ~vars f =
-  let len = Array.length vars in
-  let pos = Hashtbl.create len in
-  Array.iteri (fun i v -> Hashtbl.add pos v i) vars;
-  let memo = Hashtbl.create 64 in
-  let rec count n i =
-    if n = bdd_false then 0.0
-    else if n = bdd_true then Float.pow 2.0 (float_of_int (len - i))
-    else begin
-      let j =
-        match Hashtbl.find_opt pos (cvar c n) with
-        | Some j -> j
-        | None -> invalid_arg "Bdd.ctx_satcount: support not included in vars"
-      in
-      let sub =
-        match Hashtbl.find_opt memo n with
-        | Some sub -> sub
-        | None ->
-          let sub = count (clow c n) (j + 1) +. count (chigh c n) (j + 1) in
-          Hashtbl.add memo n sub;
-          sub
-      in
-      sub *. Float.pow 2.0 (float_of_int (j - i))
-    end
-  in
-  count f 0
-
-let ctx_iter_sat c ~vars yield f =
-  let len = Array.length vars in
-  let assignment = Array.make len false in
-  let rec go i n =
-    if n <> bdd_false then
-      if i = len then begin
-        if n = bdd_true then yield assignment else invalid_arg "Bdd.ctx_iter_sat: support not included in vars"
-      end
-      else begin
-        (* Terminal slots hold [terminal_var], so [cvar] is the level. *)
-        let vn = cvar c n in
-        if vn = vars.(i) then begin
-          assignment.(i) <- false;
-          go (i + 1) (clow c n);
-          assignment.(i) <- true;
-          go (i + 1) (chigh c n)
-        end
-        else if vn > vars.(i) then begin
-          assignment.(i) <- false;
-          go (i + 1) n;
-          assignment.(i) <- true;
-          go (i + 1) n
-        end
-        else invalid_arg "Bdd.ctx_iter_sat: vars must be sorted and include the support"
-      end
-  in
-  go 0 f
+  m.num_slots <- m.base;
+  m.gen <- m.gen + gen_step

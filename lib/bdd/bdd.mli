@@ -357,8 +357,8 @@ val to_dot : ?var_name:(int -> string) -> man -> t -> string
 
     Multicore warm-query serving: {!freeze} snapshots the manager into
     an immutable value that any number of domains may read in parallel,
-    and {!eval_ctx} gives one domain a private arena for the fresh
-    nodes its queries allocate.  Under {!Sweep} freezing never
+    and {!eval_ctx} gives one domain an ordinary manager over it, so
+    queries run the solver's own kernels.  Under {!Sweep} freezing never
     renumbers, so every live handle (a relation root, a cube) denotes
     exactly the same function in the frozen space; under {!Compact}
     the pre-freeze collection renumbers but rewrites every registered
@@ -372,24 +372,23 @@ val to_dot : ?var_name:(int -> string) -> man -> t -> string
     Ownership rules: a [frozen] is immutable and freely shareable; a
     [ctx] belongs to exactly one domain at a time and must not be used
     concurrently.  Handles returned by ctx operations are meaningful
-    only together with that ctx (handles below the frozen base are
+    only together with that ctx (handles the snapshot already held are
     also valid against the frozen space and any other ctx over it).
     No ctx operation writes shared state, takes a lock, or touches the
     originating manager. *)
 
 type frozen
-(** An immutable snapshot of a manager: packed node array compacted by
-    GC, read-only unique table.
+(** An immutable snapshot of a manager: its node pages after a
+    collection, and its unique-table heads.
 
     {b Lifecycle.}  A [frozen] value owns no external resources — it
     is a handful of plain OCaml arrays.  There is no [unfreeze]:
     releasing a snapshot is simply dropping the last reference to it
-    (and to every {!ctx} built over it, each of which retains its
-    frozen space through {!ctx_frozen}); the GC then reclaims the node
+    and to every {!ctx} built over it; the GC then reclaims the node
     arrays like any other heap block.  A long-running follower that
-    hot-swaps snapshots must therefore (a) {!ctx_dispose} or drop each
-    old ctx and (b) drop the old [frozen] — the soak suite pins
-    RSS/heap stability across ≥20 such swaps. *)
+    hot-swaps snapshots must therefore drop each old ctx and the old
+    [frozen] — the soak suite pins RSS/heap stability across ≥20 such
+    swaps. *)
 
 val freeze : man -> frozen
 (** [freeze m] collects [m] (dropping garbage) and snapshots the node
@@ -406,64 +405,26 @@ val frozen_bytes : frozen -> int
 (** Heap footprint of the snapshot itself (node pages + hash buckets),
     in bytes — always fully resident; frozen spaces never page. *)
 
-type ctx
-(** A per-domain evaluation context over one frozen space: its own
-    operation cache and node arena for query-local intermediates,
-    disposed wholesale by {!ctx_reset}. *)
+type ctx = man
+(** A per-domain evaluation context over one frozen space.  It is an
+    ordinary uncapped manager: every operation above applies, and
+    {!live_nodes}, {!allocations}, {!set_budget} and {!cache_stats}
+    count its own work.  Its node pages below the snapshot's end are
+    the frozen pages, shared read-only with every other ctx; its fresh
+    nodes go in private pages after them, and {!ctx_reset} disposes
+    them wholesale.  Its bucket array is a private copy of the
+    snapshot's.  A ctx never rehashes, grows its bucket array or
+    collects, since any of those would write to the shared pages:
+    {!gc} and {!freeze} raise [Invalid_argument] on a ctx. *)
 
-val eval_ctx : ?node_hint:int -> ?cache_bits:int -> frozen -> ctx
-(** [node_hint] sizes the initial arena (default 4K nodes); the arena
-    grows by doubling.  [cache_bits] sizes the ctx operation cache at
-    [2^cache_bits] stride-6 entries (default 14). *)
-
-val ctx_frozen : ctx -> frozen
+val eval_ctx : frozen -> ctx
 
 val ctx_reset : ctx -> unit
 (** Dispose every node allocated in the ctx since the last reset — the
     per-request wholesale disposal the query daemon relies on.  O(ctx
-    live nodes).  Cache entries whose operands and result are all
-    frozen survive (repeated warm queries stay cached across
-    requests); entries touching disposed ctx nodes are invalidated by
-    a generation stamp. *)
-
-val ctx_dispose : ctx -> unit
-(** Eager teardown for snapshot hot-swap: {!ctx_reset}, then drop the
-    arena and unique table, leaving the ctx retaining only its (shared)
-    frozen space and a fixed-size cache.  Once every ctx over an old
-    snapshot is disposed and the [frozen] value itself is dropped, the
-    whole old space is unreachable and GC-reclaimed.  A disposed ctx
-    must not be used again: the first fresh allocation through it
-    raises [Failure]. *)
-
-val ctx_set_budget : ctx -> Budget.t option -> unit
-(** Per-ctx budget, enforced like {!set_budget}: tested on the ctx's
-    fresh-allocation path every {!budget_check_interval} allocations,
-    raising {!Limit_exceeded}.  Aborting leaves the ctx consistent;
-    {!ctx_reset} reclaims the partial work. *)
-
-val ctx_allocations : ctx -> int
-(** Total ctx-local fresh-node allocations since creation (never
-    reset; the analogue of {!allocations}). *)
-
-val ctx_live_nodes : ctx -> int
-(** Ctx-local nodes allocated since the last {!ctx_reset}. *)
-
-val ctx_cache_stats : ctx -> int * int
-(** (hits, misses) of this ctx's operation cache. *)
-
-val ctx_ithvar : ctx -> int -> t
-val ctx_nithvar : ctx -> int -> t
-val ctx_not : ctx -> t -> t
-val ctx_and : ctx -> t -> t -> t
-val ctx_or : ctx -> t -> t -> t
-val ctx_diff : ctx -> t -> t -> t
-val ctx_exist : ctx -> cube:t -> t -> t
-val ctx_relprod : ctx -> cube:t -> t -> t -> t
-val ctx_cube_of_vars : ctx -> int list -> t
-val ctx_const_value : ctx -> bits:int array -> int -> t
-
-val ctx_satcount : ctx -> vars:int array -> t -> float
-(** As {!satcount}, against the ctx's view of the space. *)
-
-val ctx_iter_sat : ctx -> vars:int array -> (bool array -> unit) -> t -> unit
-(** As {!iter_sat}, against the ctx's view of the space. *)
+    live nodes): only the bucket heads those nodes took are restored.
+    Cache entries whose operands and result were all in the snapshot
+    survive (repeated warm queries stay cached across requests);
+    entries naming a disposed node are retired by a generation folded
+    into their op code.  Raises [Invalid_argument] on a manager that
+    is not a ctx. *)

@@ -391,9 +391,10 @@ let add_page a =
   note_resident a;
   p
 
-(* Compaction hand-off: replace the whole page set with [fresh] (all
-   resident, freshly built outside the pool), drop every old page and
-   every stale spill slot, and only then squeeze back under the cap. *)
+(* Compaction hand-off, and how an evaluation ctx installs the frozen
+   pages it shares: replace the whole page set with [fresh] (all
+   resident, built outside the pool), drop every old page and every
+   stale spill slot, and only then squeeze back under the cap. *)
 let swap a fresh n =
   if n > Array.length fresh then invalid_arg "Node_arena.swap";
   grow_spine a n;

@@ -126,19 +126,19 @@ let of_tuples sp ~name attrs tuples =
 
 (* Sorted variable array covering all attributes, plus for each
    attribute and bit the index of that variable in the sorted array. *)
-let var_layout r =
-  let all = Array.concat (Array.to_list (Array.map (fun a -> a.block.Space.bits) r.attributes)) in
+let var_layout attributes =
+  let all = Array.concat (Array.to_list (Array.map (fun a -> a.block.Space.bits) attributes)) in
   let sorted = Array.copy all in
   Array.sort compare sorted;
   let pos = Hashtbl.create (Array.length sorted) in
   Array.iteri (fun i v -> Hashtbl.replace pos v i) sorted;
-  let index = Array.map (fun a -> Array.map (fun v -> Hashtbl.find pos v) a.block.Space.bits) r.attributes in
+  let index = Array.map (fun a -> Array.map (fun v -> Hashtbl.find pos v) a.block.Space.bits) attributes in
   (sorted, index)
 
-let iter_tuples r yield =
-  let sorted, index = var_layout r in
-  let n_attrs = Array.length r.attributes in
-  Bdd.iter_sat (man r) ~vars:sorted
+let iter_tuples_of man attributes root yield =
+  let sorted, index = var_layout attributes in
+  let n_attrs = Array.length attributes in
+  Bdd.iter_sat man ~vars:sorted
     (fun assignment ->
       let tuple = Array.make n_attrs 0 in
       let in_range = ref true in
@@ -152,10 +152,12 @@ let iter_tuples r yield =
         (* Assignments encoding values beyond the domain size are
            unreachable if writers respect Space.const's range check,
            but guard anyway. *)
-        if !v >= Domain.size r.attributes.(i).block.Space.dom then in_range := false
+        if !v >= Domain.size attributes.(i).block.Space.dom then in_range := false
       done;
       if !in_range then yield tuple)
-    !(r.root)
+    root
+
+let iter_tuples r yield = iter_tuples_of (man r) r.attributes !(r.root) yield
 
 let fold_tuples r ~init ~f =
   let acc = ref init in
@@ -164,12 +166,14 @@ let fold_tuples r ~init ~f =
 
 let tuples r = List.rev (fold_tuples r ~init:[] ~f:(fun acc t -> t :: acc))
 
-let count r =
-  let sorted, _ = var_layout r in
-  Bdd.satcount (man r) ~vars:sorted !(r.root)
+let count_of man attributes root =
+  let sorted, _ = var_layout attributes in
+  Bdd.satcount man ~vars:sorted root
+
+let count r = count_of (man r) r.attributes !(r.root)
 
 let count_big r =
-  let sorted, _ = var_layout r in
+  let sorted, _ = var_layout r.attributes in
   Bdd.satcount_big (man r) ~vars:sorted !(r.root)
 
 let is_empty r = !(r.root) = Bdd.bdd_false
@@ -287,10 +291,10 @@ let compose a b away =
 
    A [frozen] is a relation value against a frozen space: name, attrs,
    root handle.  It is immutable and shareable across domains; the
-   _ctx operations below mirror the live algebra but allocate only in
-   the caller's ctx, so any number of domains can evaluate over the
-   same frozen relations with no shared-state writes and no disposal
-   bookkeeping (a ctx_reset reclaims everything at once). *)
+   _ctx operations below run the live kernels in the caller's ctx, so
+   any number of domains can evaluate over the same frozen relations
+   with no shared-state writes and no disposal bookkeeping (a
+   ctx_reset reclaims everything at once). *)
 
 type frozen = { fr_name : string; fr_attrs : attr array; fr_bdd : Bdd.t }
 
@@ -308,7 +312,7 @@ let frozen_find_attr fr n =
 
 let select_ctx ctx fr attr_name v =
   let a = frozen_find_attr fr attr_name in
-  { fr with fr_bdd = Bdd.ctx_and ctx fr.fr_bdd (Space.const_ctx ctx a.block v) }
+  { fr with fr_bdd = Bdd.mk_and ctx fr.fr_bdd (Space.const_ctx ctx a.block v) }
 
 let project_ctx ctx fr keep =
   let kept = List.map (fun n -> frozen_find_attr fr n) keep in
@@ -316,7 +320,7 @@ let project_ctx ctx fr keep =
     List.filter (fun a -> not (List.exists (fun k -> k.attr_name = a.attr_name) kept)) (frozen_attrs fr)
   in
   let cube = Space.cube_of_blocks_ctx ctx (List.map (fun a -> a.block) away) in
-  { fr_name = fr.fr_name; fr_attrs = Array.of_list kept; fr_bdd = Bdd.ctx_exist ctx ~cube fr.fr_bdd }
+  { fr_name = fr.fr_name; fr_attrs = Array.of_list kept; fr_bdd = Bdd.exist ctx ~cube fr.fr_bdd }
 
 let inter_ctx ctx a b =
   let same =
@@ -325,42 +329,13 @@ let inter_ctx ctx a b =
          b.fr_attrs
   in
   if not same then invalid_arg "Relation.inter_ctx: schema mismatch";
-  { a with fr_bdd = Bdd.ctx_and ctx a.fr_bdd b.fr_bdd }
+  { a with fr_bdd = Bdd.mk_and ctx a.fr_bdd b.fr_bdd }
 
-(* Mirror of [var_layout] over the frozen attribute array. *)
-let frozen_var_layout fr =
-  let all = Array.concat (Array.to_list (Array.map (fun a -> a.block.Space.bits) fr.fr_attrs)) in
-  let sorted = Array.copy all in
-  Array.sort compare sorted;
-  let pos = Hashtbl.create (Array.length sorted) in
-  Array.iteri (fun i v -> Hashtbl.replace pos v i) sorted;
-  let index = Array.map (fun a -> Array.map (fun v -> Hashtbl.find pos v) a.block.Space.bits) fr.fr_attrs in
-  (sorted, index)
-
-let iter_tuples_ctx ctx fr yield =
-  let sorted, index = frozen_var_layout fr in
-  let n_attrs = Array.length fr.fr_attrs in
-  Bdd.ctx_iter_sat ctx ~vars:sorted
-    (fun assignment ->
-      let tuple = Array.make n_attrs 0 in
-      let in_range = ref true in
-      for i = 0 to n_attrs - 1 do
-        let bits = index.(i) in
-        let v = ref 0 in
-        for b = Array.length bits - 1 downto 0 do
-          v := (!v * 2) lor if assignment.(bits.(b)) then 1 else 0
-        done;
-        tuple.(i) <- !v;
-        if !v >= Domain.size fr.fr_attrs.(i).block.Space.dom then in_range := false
-      done;
-      if !in_range then yield tuple)
-    fr.fr_bdd
+let iter_tuples_ctx ctx fr yield = iter_tuples_of ctx fr.fr_attrs fr.fr_bdd yield
 
 let tuples_ctx ctx fr =
   let acc = ref [] in
   iter_tuples_ctx ctx fr (fun t -> acc := t :: !acc);
   List.rev !acc
 
-let count_ctx ctx fr =
-  let sorted, _ = frozen_var_layout fr in
-  Bdd.ctx_satcount ctx ~vars:sorted fr.fr_bdd
+let count_ctx ctx fr = count_of ctx fr.fr_attrs fr.fr_bdd

@@ -105,12 +105,15 @@ let instance s d i =
   ensure ()
 
 let cube s b = Bdd.cube_of_vars s.man (Array.to_list b.bits)
-let cube_of_blocks s bs = Bdd.cube_of_vars s.man (List.concat_map (fun b -> Array.to_list b.bits) bs)
+let cube_of_blocks_ctx man bs = Bdd.cube_of_vars man (List.concat_map (fun b -> Array.to_list b.bits) bs)
+let cube_of_blocks s bs = cube_of_blocks_ctx s.man bs
 
-let const s b v =
+let const_ctx man b v =
   if v < 0 || v >= Domain.size b.dom then
     invalid_arg (Printf.sprintf "Space.const: %d out of range for %s" v (Domain.name b.dom));
-  Bdd.const_value s.man ~bits:b.bits v
+  Bdd.const_value man ~bits:b.bits v
+
+let const s b v = const_ctx s.man b v
 
 let check_same_domain a b =
   if not (Domain.equal a.dom b.dom) then invalid_arg "Space: blocks of different domains"
@@ -170,11 +173,4 @@ let frozen_domains f =
   let ds = List.filter_map (fun (_, bs) -> match bs with b :: _ -> Some b.dom | [] -> None) f.f_by_domain in
   List.sort (fun a b -> compare (Domain.name a) (Domain.name b)) ds
 
-let eval_ctx ?node_hint ?cache_bits f = Bdd.eval_ctx ?node_hint ?cache_bits f.f_bdd
-
-let const_ctx ctx b v =
-  if v < 0 || v >= Domain.size b.dom then
-    invalid_arg (Printf.sprintf "Space.const_ctx: %d out of range for %s" v (Domain.name b.dom));
-  Bdd.ctx_const_value ctx ~bits:b.bits v
-
-let cube_of_blocks_ctx ctx bs = Bdd.ctx_cube_of_vars ctx (List.concat_map (fun b -> Array.to_list b.bits) bs)
+let eval_ctx f = Bdd.eval_ctx f.f_bdd

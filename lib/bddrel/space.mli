@@ -125,7 +125,7 @@ val frozen_num_vars : frozen -> int
 val frozen_instances : frozen -> Domain.t -> block list
 val frozen_domains : frozen -> Domain.t list
 
-val eval_ctx : ?node_hint:int -> ?cache_bits:int -> frozen -> Bdd.ctx
+val eval_ctx : frozen -> Bdd.ctx
 (** A fresh per-domain evaluation context over the snapshot. *)
 
 val const_ctx : Bdd.ctx -> block -> int -> Bdd.t

@@ -303,18 +303,18 @@ let serve_line ?(limits = no_limits) ~stats t ctx line =
           Some
             (Budget.make ?timeout_s:limits.rq_timeout_s
                ?max_allocations:
-                 (Option.map (fun c -> Bdd.ctx_allocations ctx + c) limits.rq_max_allocs)
-               ?max_live_nodes:(Option.map (fun c -> Bdd.ctx_live_nodes ctx + c) limits.rq_max_nodes)
+                 (Option.map (fun c -> Bdd.allocations ctx + c) limits.rq_max_allocs)
+               ?max_live_nodes:(Option.map (fun c -> Bdd.live_nodes ctx + c) limits.rq_max_nodes)
                ())
       in
-      Bdd.ctx_set_budget ctx budget;
+      Bdd.set_budget ctx budget;
       (* The reset in [finally] reclaims every query-local node at
          once — aborted or not, the next request on this ctx starts
          from an empty arena.  (The frozen snapshot is untouched.) *)
       match
         Fun.protect
           ~finally:(fun () ->
-            Bdd.ctx_set_budget ctx None;
+            Bdd.set_budget ctx None;
             Bdd.ctx_reset ctx)
           (fun () -> handle t ctx line)
       with
@@ -433,14 +433,13 @@ module Pool = struct
     let gen0, srv0 = Source.get p.p_source in
     let gen = ref gen0 and srv = ref srv0 in
     let ctx = ref (new_ctx srv0) in
-    (* On a generation change: tear down this worker's arena over the
-       old space and rebuild over the new server.  Called between
-       requests and from the idle wait loop (after [poke]), so an old
-       snapshot is released promptly even by workers with nothing to
-       do. *)
+    (* On a generation change: drop this worker's ctx over the old
+       space (its last reference to the old frozen pages) and rebuild
+       over the new server.  Called between requests and from the idle
+       wait loop (after [poke]), so an old snapshot is released
+       promptly even by workers with nothing to do. *)
     let refresh () =
       if Source.generation p.p_source <> !gen then begin
-        Bdd.ctx_dispose !ctx;
         let g, s = Source.get p.p_source in
         gen := g;
         srv := s;

@@ -141,7 +141,7 @@ val serve_line : ?limits:limits -> stats:server_stats -> t -> Bdd.ctx -> string 
     calls after loading and freezing a new snapshot; in-flight
     requests finish against the old server, every later request runs
     against the new one, and the old frozen space is GC-reclaimed once
-    the last worker has rebuilt its ctx (see {!Bdd.ctx_dispose}). *)
+    the last worker has rebuilt its ctx (see {!Bdd.frozen}). *)
 module Source : sig
   type source
 

@@ -2,8 +2,10 @@
    frozen snapshot plus per-domain evaluation contexts that back the
    parallel warm-query daemon.
 
+   A ctx runs the same kernels as the live manager, but over shared
+   frozen pages, a copied bucket array and a reset-able private range.
    Ground truth is the *live* manager: every ctx operation is mirrored
-   by the corresponding live kernel and both results are compared as
+   by the same operation on it and both results are compared as
    explicit satisfying-assignment sets (14 variables, so full
    enumeration is cheap).  Covered:
 
@@ -14,8 +16,12 @@
      sequence replayed twice to pin determinism;
    - >= 3 ctxs over one frozen space evaluate the same op sequence
      concurrently (one domain each) and agree bit-for-bit;
-   - [ctx_satcount] / [ctx_const_value] / [ctx_cube_of_vars]
-     differentials, and the per-ctx budget kill + recovery. *)
+   - [satcount] / [const_value] / [cube_of_vars] differentials in a
+     ctx, and the per-ctx budget kill + recovery;
+   - two domains growing and resetting their ctxs leave every frozen
+     page and the frozen bucket array byte-identical;
+   - a cached [and] over frozen handles survives a reset, one whose
+     result was ctx-local does not. *)
 
 let nvars = 14
 let all_vars = Array.init nvars Fun.id
@@ -33,7 +39,7 @@ let sats_live man f =
 
 let sats_ctx ctx f =
   let acc = ref [] in
-  Bdd.ctx_iter_sat ctx ~vars:all_vars (fun bits -> acc := mask_of bits :: !acc) f;
+  Bdd.iter_sat ctx ~vars:all_vars (fun bits -> acc := mask_of bits :: !acc) f;
   List.sort compare !acc
 
 (* A pool of rooted BDDs over a fresh manager: all literals plus
@@ -154,13 +160,13 @@ let run_ops_ctx ctx pool ops =
     (fun op ->
       let f =
         match op with
-        | Op2 (0, i, j) -> Bdd.ctx_and ctx (get i) (get j)
-        | Op2 (1, i, j) -> Bdd.ctx_or ctx (get i) (get j)
-        | Op2 (_, i, j) -> Bdd.ctx_diff ctx (get i) (get j)
-        | Op_not i -> Bdd.ctx_not ctx (get i)
-        | Op_exist (i, vs) -> Bdd.ctx_exist ctx ~cube:(Bdd.ctx_cube_of_vars ctx vs) (get i)
+        | Op2 (0, i, j) -> Bdd.mk_and ctx (get i) (get j)
+        | Op2 (1, i, j) -> Bdd.mk_or ctx (get i) (get j)
+        | Op2 (_, i, j) -> Bdd.mk_diff ctx (get i) (get j)
+        | Op_not i -> Bdd.mk_not ctx (get i)
+        | Op_exist (i, vs) -> Bdd.exist ctx ~cube:(Bdd.cube_of_vars ctx vs) (get i)
         | Op_relprod (i, j, vs) ->
-          Bdd.ctx_relprod ctx ~cube:(Bdd.ctx_cube_of_vars ctx vs) (get i) (get j)
+          Bdd.relprod ctx ~cube:(Bdd.cube_of_vars ctx vs) (get i) (get j)
       in
       sats := sats_ctx ctx f :: !sats;
       vals := !vals @ [ f ])
@@ -191,7 +197,7 @@ let test_ctx_differential () =
       (run_ops_ctx fresh pool ops = via_ctx);
     Bdd.ctx_reset ctx
   done;
-  Alcotest.(check int) "reset leaves no ctx-local nodes" 0 (Bdd.ctx_live_nodes ctx)
+  Alcotest.(check int) "reset leaves no ctx-local nodes" 0 (Bdd.live_nodes ctx)
 
 (* --- concurrent ctxs -------------------------------------------------- *)
 
@@ -215,6 +221,25 @@ let test_concurrent_ctxs () =
 
 (* --- counting, constants, budget ------------------------------------- *)
 
+let wide_union c =
+  (* A deliberately wide disjunction of two-block value pairs:
+     thousands of fresh intermediate nodes, enough to cross the
+     amortized budget-check interval several times. *)
+  let evens = Array.init 7 (fun k -> 2 * k) and odds = Array.init 7 (fun k -> (2 * k) + 1) in
+  let acc = ref Bdd.bdd_false in
+  for i = 0 to 2999 do
+    (* A mixed 14-bit value per step: ~3k distinct points, so the
+       growing union keeps allocating instead of cache-hitting. *)
+    let v = i * 2654435761 land 16383 in
+    let pair =
+      Bdd.mk_and c
+        (Bdd.const_value c ~bits:evens (v land 127))
+        (Bdd.const_value c ~bits:odds (v lsr 7))
+    in
+    acc := Bdd.mk_or c !acc pair
+  done;
+  !acc
+
 let test_ctx_counting_and_budget () =
   let rng, man, pool = setup ~extra:40 0x5A7C0 in
   let fz = Bdd.freeze man in
@@ -224,7 +249,7 @@ let test_ctx_counting_and_budget () =
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "satcount pool %d" i)
         (Bdd.satcount man ~vars:all_vars f)
-        (Bdd.ctx_satcount ctx ~vars:all_vars f))
+        (Bdd.satcount ctx ~vars:all_vars f))
     pool;
   (* const_value over a random 6-bit block agrees with the live one. *)
   let bits = Array.init 6 (fun i -> 2 * i) in
@@ -233,37 +258,102 @@ let test_ctx_counting_and_budget () =
     Alcotest.(check (list int))
       (Printf.sprintf "const_value %d" v)
       (sats_live man (Bdd.const_value man ~bits v))
-      (sats_ctx ctx (Bdd.ctx_const_value ctx ~bits v))
+      (sats_ctx ctx (Bdd.const_value ctx ~bits v))
   done;
   (* Budget: a cap resolved against the ctx's counters kills a fresh
      build at the amortized check site; after reset + uncapping the
      same build succeeds, from a clean arena. *)
-  let build c =
-    (* A deliberately wide disjunction of two-block value pairs:
-       thousands of fresh intermediate nodes, enough to cross the
-       amortized budget-check interval several times. *)
-    let evens = Array.init 7 (fun k -> 2 * k) and odds = Array.init 7 (fun k -> (2 * k) + 1) in
-    let acc = ref Bdd.bdd_false in
-    for i = 0 to 2999 do
-      (* A mixed 14-bit value per step: ~3k distinct points, so the
-         growing union keeps allocating instead of cache-hitting. *)
-      let v = i * 2654435761 land 16383 in
-      let pair =
-        Bdd.ctx_and c
-          (Bdd.ctx_const_value c ~bits:evens (v land 127))
-          (Bdd.ctx_const_value c ~bits:odds (v lsr 7))
-      in
-      acc := Bdd.ctx_or c !acc pair
-    done;
-    !acc
-  in
-  Bdd.ctx_set_budget ctx (Some (Budget.make ~max_allocations:(Bdd.ctx_allocations ctx + 8) ()));
-  let killed = match build ctx with _ -> false | exception Bdd.Limit_exceeded _ -> true in
+  Bdd.set_budget ctx (Some (Budget.make ~max_allocations:(Bdd.allocations ctx + 8) ()));
+  let killed = match wide_union ctx with _ -> false | exception Bdd.Limit_exceeded _ -> true in
   Alcotest.(check bool) "tight ctx budget kills the build" true killed;
-  Bdd.ctx_set_budget ctx None;
+  Bdd.set_budget ctx None;
   Bdd.ctx_reset ctx;
-  let full = build ctx in
-  Alcotest.(check bool) "recovered build is non-trivial" true (Bdd.ctx_satcount ctx ~vars:all_vars full > 0.0)
+  let full = wide_union ctx in
+  Alcotest.(check bool) "recovered build is non-trivial" true (Bdd.satcount ctx ~vars:all_vars full > 0.0)
+
+(* --- the shared spine ------------------------------------------------ *)
+
+(* A ctx reads the frozen pages in place and links its own nodes in
+   front of the frozen bucket chains; none of that may write to the
+   snapshot.  Tiny pages (16 slots) make every round grow the ctxs past
+   many private pages, and past the size of the bucket array; the ops run on two domains at once, each with
+   its own ctx, resetting between rounds. *)
+let test_frozen_pages_untouched () =
+  let rng = Random.State.make [| 0x5EA1ED |] in
+  let man = Bdd.create ~node_hint:256 ~page_bits:4 ~nvars () in
+  let pool = Array.of_list !(build_pool rng man 60) in
+  let fz = Bdd.freeze man in
+  (* Every frozen page array and the bucket array, byte for byte. *)
+  let digest () = Digest.to_hex (Digest.string (Marshal.to_string fz [])) in
+  let before = digest () in
+  let rounds = List.init 3 (fun _ -> random_ops rng (Array.length pool) 60) in
+  let reference = List.map (run_ops_live man pool) rounds in
+  let wide = Bdd.satcount man ~vars:all_vars (wide_union man) in
+  let domains =
+    List.init 2 (fun _ ->
+        Stdlib.Domain.spawn (fun () ->
+            let ctx = Bdd.eval_ctx fz in
+            let frozen_pages = (Bdd.arena_stats ctx).Bdd.pages_total in
+            let grown = ref 0 in
+            let transcripts =
+              List.map
+                (fun ops ->
+                  let t = run_ops_ctx ctx pool ops in
+                  (* Enough fresh nodes to outgrow the bucket array. *)
+                  let t = if Bdd.satcount ctx ~vars:all_vars (wide_union ctx) = wide then t else [] in
+                  grown := max !grown ((Bdd.arena_stats ctx).Bdd.pages_total - frozen_pages);
+                  Bdd.ctx_reset ctx;
+                  t)
+                rounds
+            in
+            (!grown, transcripts)))
+  in
+  List.iteri
+    (fun d (grown, transcripts) ->
+      Alcotest.(check bool) (Printf.sprintf "ctx %d grew past one private page" d) true (grown >= 2);
+      Alcotest.(check bool) (Printf.sprintf "ctx %d agrees with live oracle" d) true (transcripts = reference))
+    (List.map Stdlib.Domain.join domains);
+  Alcotest.(check string) "frozen pages and buckets unchanged" before (digest ())
+
+(* --- the op cache across resets --------------------------------------- *)
+
+let test_cache_across_reset () =
+  let man = Bdd.create ~node_hint:256 ~nvars () in
+  let x = Bdd.ithvar man in
+  let f = Bdd.mk_or man (x 0) (x 2) and g = Bdd.mk_or man (x 1) (x 3) in
+  let fg = Bdd.mk_and man f g in
+  let p = Bdd.mk_or man (x 4) (x 6) and q = Bdd.mk_or man (x 5) (x 7) in
+  Bdd.add_root_fn man (fun () -> [ f; g; fg; p; q ]);
+  let fz = Bdd.freeze man in
+  let ctx = Bdd.eval_ctx fz in
+  (* An [and] whose result the snapshot already holds is cached under
+     frozen handles only, so it still hits after a reset. *)
+  Alcotest.(check int) "and of frozen handles is the frozen node" (fg :> int) (Bdd.mk_and ctx f g :> int);
+  let allocs = Bdd.allocations ctx and hits, misses = Bdd.cache_stats ctx in
+  Bdd.ctx_reset ctx;
+  Alcotest.(check int) "same node after reset" (fg :> int) (Bdd.mk_and ctx f g :> int);
+  let hits', misses' = Bdd.cache_stats ctx in
+  Alcotest.(check int) "one hit after reset" (hits + 1) hits';
+  Alcotest.(check int) "no miss after reset" misses misses';
+  Alcotest.(check int) "no allocation after reset" allocs (Bdd.allocations ctx);
+  (* An [and] whose result is ctx-local must not be answered from the
+     cache once a reset has handed that handle to another node. *)
+  let oracle = sats_live man (Bdd.mk_and man p q) in
+  let pq = Bdd.mk_and ctx p q in
+  Alcotest.(check (list int)) "ctx-local and" oracle (sats_ctx ctx pq);
+  let local = Bdd.live_nodes ctx in
+  Alcotest.(check bool) "result is ctx-local" true (local > 0);
+  Bdd.ctx_reset ctx;
+  (* [pq] was the last node allocated; refill the ctx past its slot
+     with nodes over variables [p] and [q] do not mention. *)
+  let bits = Array.init 6 (fun i -> 8 + i) in
+  let v = ref 0 in
+  while Bdd.live_nodes ctx < local do
+    ignore (Bdd.const_value ctx ~bits !v);
+    incr v
+  done;
+  Alcotest.(check bool) "handle reused for another node" true (sats_ctx ctx pq <> oracle);
+  Alcotest.(check (list int)) "re-asked after reuse" oracle (sats_ctx ctx (Bdd.mk_and ctx p q))
 
 let () =
   Alcotest.run "freeze"
@@ -278,4 +368,9 @@ let () =
         ] );
       ( "concurrent",
         [ Alcotest.test_case "4 ctxs, 1 frozen space, identical answers" `Quick test_concurrent_ctxs ] );
+      ( "shared",
+        [
+          Alcotest.test_case "2 domains grow and reset, frozen pages unchanged" `Quick test_frozen_pages_untouched;
+          Alcotest.test_case "op cache across reset: frozen hits, local retired" `Quick test_cache_across_reset;
+        ] );
     ]
