@@ -7,12 +7,11 @@
    behind a pinning buffer pool.  Slot [n] lives on page
    [n lsr page_bits] at record [n land page_mask]; an uncapped arena
    keeps every page resident forever, so the accessor is one extra
-   indirection over the old flat array, while a byte-capped arena
-   spills cold pages to a CRC'd scratch file and faults them back in
-   on access.  The unique table is a chained hash whose bucket array
+   indirection over a flat array, while a byte-capped arena spills
+   cold pages to a CRC'd scratch file and faults them back in on
+   access.  The unique table is a chained hash whose bucket array
    tracks the arena capacity (load factor <= 1); chains are threaded
-   through [next].  Freed slots are threaded through [next] as a free
-   list and marked with [var = -1].
+   through [next].  Allocation is pure bump allocation at [num_slots].
 
    The operation cache is a single direct-mapped array with stride-5
    entries [op; a; b; c; result]; all memoized operations share it,
@@ -21,34 +20,24 @@
    recursive kernels with their terminal rules inlined; the generic
    [apply] survives only for the rare connectives (xor/imp/biimp).
 
-   GC is mark-sweep from registered roots and is only ever invoked
-   explicitly, so in-flight intermediate results cannot be collected.
-   Two collection modes exist per manager:
-
-   - [Sweep] (the default for {!create}) frees dead slots in place and
-     never renumbers, so raw handles held anywhere stay valid — the
-     historical behavior every existing client was written against.
-
-   - [Compact] (chosen by the solver layers) renumbers the survivors,
-     clustering them by variable level so that the recursive kernels —
-     which walk level by level — touch consecutive slots and therefore
-     consecutive pages.  Renumbering requires every retained handle to
-     be reachable through the remap protocol: [add_root] refs and
-     [add_root_list] lists are rewritten in place, and [on_remap]
-     hooks let layers with private handle storage rewrite themselves.
-     [add_root_fn] functions are marked but NOT remapped; under
-     [Compact] their handles must also be covered by a ref, list or
-     hook.  The op cache is rebuilt through the relocation map, so
-     warm entries survive compaction.
-
-   In both modes surviving cache entries are only those whose operands
-   and result are all live (a freed handle may be reused by a later
-   [mk], so other entries would be unsound to keep).  Marking uses a
-   persistent byte buffer and an explicit stack, both reused across
-   collections, so GC does no per-call allocation and cannot overflow
-   the OCaml stack on deep BDDs.  [support] and [node_count] likewise
-   use an explicit stack with a reusable visited-stamp array instead
-   of per-call hash tables.
+   GC is a compacting mark from registered roots and is only ever
+   invoked explicitly, so in-flight intermediate results cannot be
+   collected.  It renumbers the survivors, clustering them by variable
+   level so that the recursive kernels — which walk level by level —
+   touch consecutive slots and therefore consecutive pages.
+   Renumbering requires every retained handle to be rewritable: a root
+   is an [add_root] ref, an [add_root_list] list, or an [add_root_hook]
+   hook that visits its layer's private handle storage in place.  GC
+   calls each hook twice, first with a function that marks a handle
+   and returns it unchanged, then with the relocation function, so a
+   handle a hook keeps alive is always also rewritten.  The op cache is
+   rebuilt through the relocation map, keeping only entries whose
+   operands and result all survived, so warm entries outlive a
+   collection.  Marking uses a persistent byte buffer and an explicit
+   stack, both reused across collections, so it does no per-call
+   allocation and cannot overflow the OCaml stack on deep BDDs.
+   [support] and [node_count] likewise use an explicit stack with a
+   reusable visited-stamp array instead of per-call hash tables.
 
    Reads of node fields may hold a page array across recursive calls:
    eviction detaches a page from the pool without mutating the array,
@@ -59,8 +48,6 @@
 module A = Node_arena
 
 type t = int
-
-type gc_mode = Sweep | Compact
 
 type varmap = {
   map_id : int;
@@ -87,11 +74,8 @@ type man = {
   arena : A.t; (* paged node storage; slot n = page (n lsr pbits), record (n land pmask) *)
   pbits : int; (* copies of the arena geometry, saving a load on the hot path *)
   pmask : int;
-  mode : gc_mode;
   mutable buckets : int array; (* heads, -1 = empty *)
-  mutable free_head : int;
-  mutable num_slots : int; (* slots ever allocated, including freed *)
-  mutable num_free : int;
+  mutable num_slots : int; (* next bump-allocation slot *)
   mutable peak_live : int;
   mutable nvars : int;
   mutable cache : int array;
@@ -101,8 +85,7 @@ type man = {
   mutable map_counter : int;
   mutable roots : t ref list;
   mutable root_lists : t list ref list;
-  mutable root_fns : (unit -> t list) list;
-  mutable remap_hooks : ((t -> t) -> unit) list;
+  mutable root_hooks : ((t -> t) -> unit) list;
   mutable gcs : int;
   mutable marks : Bytes.t; (* persistent GC mark buffer *)
   mutable stack : int array; (* persistent traversal stack (GC / support / node_count) *)
@@ -115,7 +98,7 @@ type man = {
      previous cache array (swapped back in remapped), and the
      relocation / destination-order tables.  Without these a compacting
      GC allocates and frees ~10 MB per collection on a gantt-sized
-     table — major-heap churn the free-list sweep never pays. *)
+     table. *)
   mutable cache_scratch : int array;
   mutable reloc_scratch : int array;
   mutable order_scratch : int array;
@@ -143,7 +126,6 @@ let budget_check_interval = 4096
 let set_budget m b = m.budget <- b
 let budget m = m.budget
 let allocations m = m.allocs
-let gc_mode m = m.mode
 
 let bdd_false = 0
 let bdd_true = 1
@@ -210,7 +192,7 @@ let high m n =
    the level. *)
 let level m n = nvar m n
 
-let live_nodes m = m.num_slots - m.base - m.num_free
+let live_nodes m = m.num_slots - m.base
 let peak_live_nodes m = m.peak_live
 let reset_peak m = m.peak_live <- live_nodes m
 let gc_count m = m.gcs
@@ -236,16 +218,13 @@ let hash3 a b c = (a * 12582917) lxor (b * 4256249) lxor (c * 741457)
 
 let sweep_stale_spills = A.sweep_stale_spills
 
-let make_man arena ~base ~buckets ~cache_bits ~gc_mode ~nvars =
+let make_man arena ~base ~buckets ~cache_bits ~nvars =
   {
     arena;
     pbits = arena.A.page_bits;
     pmask = arena.A.page_mask;
-    mode = gc_mode;
     buckets;
-    free_head = -1;
     num_slots = base;
-    num_free = 0;
     peak_live = 0;
     nvars;
     cache = Array.make ((1 lsl cache_bits) * 5) (-1);
@@ -255,8 +234,7 @@ let make_man arena ~base ~buckets ~cache_bits ~gc_mode ~nvars =
     map_counter = 0;
     roots = [];
     root_lists = [];
-    root_fns = [];
-    remap_hooks = [];
+    root_hooks = [];
     gcs = 0;
     marks = Bytes.create 0;
     stack = Array.make 1024 0;
@@ -272,7 +250,7 @@ let make_man arena ~base ~buckets ~cache_bits ~gc_mode ~nvars =
     gen = 0;
   }
 
-let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spill_path ?(gc_mode = Sweep) ~nvars () =
+let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spill_path ~nvars () =
   (* A capped manager bound for the temp directory sweeps its
      predecessors' orphaned scratch files first — a SIGKILLed capped
      solve never reaches [dispose].  Drivers that point [spill_path]
@@ -288,7 +266,7 @@ let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spi
     let rec up c = if c >= want then c else up (c * 2) in
     up 1024
   in
-  let m = make_man arena ~base:2 ~buckets:(Array.make bcap (-1)) ~cache_bits ~gc_mode ~nvars in
+  let m = make_man arena ~base:2 ~buckets:(Array.make bcap (-1)) ~cache_bits ~nvars in
   let p0 = A.add_page arena in
   A.set_tail arena p0;
   (* The terminal page carries a permanent extra pin on top of any
@@ -363,11 +341,9 @@ let rehash m =
       end;
       for s = lo to hi - 1 do
         let i = s * 4 in
-        if pg.(i) >= 0 then begin
-          let b = hash3 pg.(i) pg.(i + 1) pg.(i + 2) land mask in
-          pg.(i + 3) <- m.buckets.(b);
-          m.buckets.(b) <- base + s
-        end
+        let b = hash3 pg.(i) pg.(i + 1) pg.(i + 2) land mask in
+        pg.(i + 3) <- m.buckets.(b);
+        m.buckets.(b) <- base + s
       done
     end
   done
@@ -444,20 +420,9 @@ let mk m v l h =
     else begin
       m.allocs <- m.allocs + 1;
       if m.allocs land (budget_check_interval - 1) = 0 then budget_check m;
-      let slot =
-        if m.free_head >= 0 then begin
-          let s = m.free_head in
-          m.free_head <- nnext m s;
-          m.num_free <- m.num_free - 1;
-          s
-        end
-        else begin
-          if m.num_slots >= A.capacity m.arena then grow m;
-          let s = m.num_slots in
-          m.num_slots <- m.num_slots + 1;
-          s
-        end
-      in
+      if m.num_slots >= A.capacity m.arena then grow m;
+      let slot = m.num_slots in
+      m.num_slots <- slot + 1;
       (* All writes happen against one fresh page fetch with nothing
          that can fault in between (the bucket array is flat). *)
       let pg = wr_page m slot in
@@ -1069,7 +1034,7 @@ let to_dot ?(var_name = fun i -> Printf.sprintf "x%d" i) m f =
 
    The dump ids are assigned by a deterministic children-first walk of
    the roots, so two managers holding the same functions — regardless
-   of their handle numbering, GC mode or arena geometry — serialize to
+   of their handle numbering, GC history or arena geometry — serialize to
    the same bytes: dumps double as canonical fingerprints for
    bit-identity checks across capped/uncapped runs.
 
@@ -1078,7 +1043,7 @@ let to_dot ?(var_name = fun i -> Printf.sprintf "x%d" i) m f =
    of surfacing as a confusing structural error (or worse, decoding to
    a wrong BDD); it then rebuilds through [mk], so hash consing
    re-establishes canonicity in the target manager regardless of its
-   current table size, free-list state or GC history.  Structural
+   current table size or GC history.  Structural
    validation still rejects malformed-but-checksummed input
    ([Solver_error.Bad_input] carrying the byte offset) before any node
    is interned from a bad triple. *)
@@ -1207,11 +1172,11 @@ let add_root m r = m.roots <- r :: m.roots
 let remove_root m r = m.roots <- List.filter (fun r' -> r' != r) m.roots
 let add_root_list m l = m.root_lists <- l :: m.root_lists
 let remove_root_list m l = m.root_lists <- List.filter (fun l' -> l' != l) m.root_lists
-let add_root_fn m f = m.root_fns <- f :: m.root_fns
-let on_remap m h = m.remap_hooks <- h :: m.remap_hooks
+let add_root_hook m h = m.root_hooks <- h :: m.root_hooks
 
 (* Mark every node reachable from the registered roots into [m.marks].
-   Shared by both GC modes. *)
+   Hooks see the marking function here; [gc] hands them the relocation
+   function once the survivors are renumbered. *)
 let mark_roots m =
   if Bytes.length m.marks < m.num_slots then m.marks <- Bytes.make (A.capacity m.arena) '\000'
   else Bytes.fill m.marks 0 m.num_slots '\000';
@@ -1235,82 +1200,12 @@ let mark_roots m =
   in
   List.iter (fun r -> mark !r) m.roots;
   List.iter (fun l -> List.iter mark !l) m.root_lists;
-  List.iter (fun f -> List.iter mark (f ())) m.root_fns
-
-(* Invalidate cache entries whose operands or result died this
-   collection: their handles may be reused by a later [mk], after which
-   the entry would describe a different function.  Entries over live
-   handles stay valid because hash consing makes a live handle denote
-   the same function forever.  Operand slots holding non-handle keys
-   ([op_replace]'s map id) are skipped — varmaps are immutable and map
-   ids are never reused. *)
-let sweep_cache m =
-  let live x = x < 2 || Bytes.get m.marks x = '\001' in
-  let cache = m.cache in
-  let n = Array.length cache / 5 in
-  for slot = 0 to n - 1 do
-    let i = slot * 5 in
-    let op = cache.(i) in
-    if op >= 0 then begin
-      let ok =
-        live cache.(i + 4)
-        && live cache.(i + 1)
-        && (op = op_replace || (live cache.(i + 2) && live cache.(i + 3)))
-      in
-      if not ok then cache.(i) <- -1
-    end
-  done
-
-(* Non-moving collection: dead slots go on the free list, every
-   surviving handle keeps its number.  This is the only mode safe for
-   clients that squirrel raw handles away without registering a
-   remapping path. *)
-let gc_sweep m =
-  mark_roots m;
-  sweep_cache m;
-  let a = m.arena in
-  let spp = a.A.slots_per_page in
-  (* Sweep: free unmarked live slots (page-wise: one fault per page). *)
-  for p = 0 to a.A.num_pages - 1 do
-    let base = p * spp in
-    let lo = if p = 0 then 2 else 0 in
-    let hi = min spp (m.num_slots - base) in
-    if hi > lo then begin
-      let pg = A.fault_in a p in
-      if a.A.capped then begin
-        Bytes.set a.A.refbit p '\001';
-        Bytes.set a.A.dirty p '\001'
-      end;
-      for s = lo to hi - 1 do
-        if pg.(s * 4) >= 0 && Bytes.get m.marks (base + s) = '\000' then pg.(s * 4) <- -1
-      done
-    end
-  done;
-  rehash m;
-  (* Rehashing only threads live nodes; thread the free slots now, high
-     pages first so the list pops low slots first. *)
-  m.free_head <- -1;
-  m.num_free <- 0;
-  for p = a.A.num_pages - 1 downto 0 do
-    let base = p * spp in
-    let lo = if p = 0 then 2 else 0 in
-    let hi = min spp (m.num_slots - base) in
-    if hi > lo then begin
-      let pg = A.fault_in a p in
-      if a.A.capped then begin
-        Bytes.set a.A.refbit p '\001';
-        Bytes.set a.A.dirty p '\001'
-      end;
-      for s = hi - 1 downto lo do
-        if pg.(s * 4) = -1 then begin
-          pg.((s * 4) + 3) <- m.free_head;
-          m.free_head <- base + s;
-          m.num_free <- m.num_free + 1
-        end
-      done
-    end
-  done;
-  m.gcs <- m.gcs + 1
+  List.iter
+    (fun h ->
+      h (fun x ->
+          mark x;
+          x))
+    m.root_hooks
 
 (* Rebuild the op cache through the relocation map so warm entries
    survive compaction: an entry is kept when its result and operands
@@ -1352,7 +1247,7 @@ let rebuild_cache_remapped m reloc =
   m.cache_scratch <- cache;
   m.cache <- fresh
 
-(* Compacting collection: renumber the survivors so that nodes of the
+(* Collection: renumber the survivors so that nodes of the
    same variable level sit in consecutive slots — and therefore in the
    same (or adjacent) pages.  The recursive kernels proceed level by
    level, so clustering turns their page access pattern from uniform
@@ -1366,9 +1261,10 @@ let rebuild_cache_remapped m reloc =
    New numbering: terminals keep 0/1; level 0's survivors follow, then
    level 1's, etc.  [reloc.(old) = new] for every marked slot.  After
    the copy, every registered root ref/list is rewritten in place and
-   the [on_remap] hooks run with the relocation function; the free
-   list is gone (allocation resumes as pure bump at [num_slots]). *)
-let gc_compact m =
+   the root hooks run with the relocation function; allocation resumes
+   as pure bump at [num_slots]. *)
+let gc m =
+  if m.base > 2 then invalid_arg "Bdd.gc: evaluation context";
   mark_roots m;
   let a = m.arena in
   let spp = a.A.slots_per_page in
@@ -1467,8 +1363,6 @@ let gc_compact m =
   A.swap a fresh npages;
   A.set_tail a (npages - 1);
   m.num_slots <- new_slots;
-  m.free_head <- -1;
-  m.num_free <- 0;
   (* Shrink (or grow) the bucket array to the compacted capacity, then
      rebuild the chains over the new numbering. *)
   let cap = A.capacity a in
@@ -1482,14 +1376,8 @@ let gc_compact m =
   let mapf x = if x < 2 then x else reloc.(x) in
   List.iter (fun r -> r := mapf !r) m.roots;
   List.iter (fun l -> l := List.map mapf !l) m.root_lists;
-  List.iter (fun h -> h mapf) m.remap_hooks;
+  List.iter (fun h -> h mapf) m.root_hooks;
   m.gcs <- m.gcs + 1
-
-let gc m =
-  if m.base > 2 then invalid_arg "Bdd.gc: evaluation context";
-  match m.mode with
-  | Sweep -> gc_sweep m
-  | Compact -> gc_compact m
 
 (* --- Frozen spaces and per-domain evaluation contexts ---------------
 
@@ -1500,13 +1388,12 @@ let gc m =
 
    The snapshot is the post-GC page set, copied page by page out of
    the buffer pool into plain arrays (spilled pages are faulted in to
-   be copied, so a frozen space is always fully resident).  Under
-   [Sweep] GC the surviving handles keep their slots; under [Compact]
-   the collection renumbers but also rewrites every registered root,
-   so handles read back from their rooted homes after [freeze] returns
+   be copied, so a frozen space is always fully resident).  The
+   collection renumbers but also rewrites every registered root, so
+   handles read back from their rooted homes after [freeze] returns
    are valid in the snapshot, and the frozen pages come out
-   level-clustered.  Either way, answers computed against a frozen
-   space are bit-identical to the live evaluator's.
+   level-clustered.  Answers computed against a frozen space are
+   bit-identical to the live evaluator's.
 
    A ctx is an uncapped manager whose spine holds the frozen pages and
    whose bucket array is a private copy of the frozen heads.  Its fresh
@@ -1530,8 +1417,8 @@ type frozen = {
 }
 
 let freeze m =
-  (* Collect first so the snapshot holds only reachable nodes (and,
-     under [Compact], is level-clustered and densely numbered). *)
+  (* Collect first so the snapshot holds only reachable nodes,
+     level-clustered and densely numbered. *)
   gc m;
   let a = m.arena in
   let spp = a.A.slots_per_page in
@@ -1571,7 +1458,7 @@ let eval_ctx fz =
   A.swap arena fz.fz_pages npages;
   let m =
     make_man arena ~base:(npages * arena.A.slots_per_page) ~buckets:(Array.copy fz.fz_buckets)
-      ~cache_bits:ctx_cache_bits ~gc_mode:Sweep ~nvars:fz.fz_nvars
+      ~cache_bits:ctx_cache_bits ~nvars:fz.fz_nvars
   in
   m.gen <- gen_step;
   m

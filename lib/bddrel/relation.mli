@@ -105,8 +105,8 @@ type frozen
 
 val freeze : t -> frozen
 (** Capture the relation's current contents.  Take the capture {e
-    after} {!Space.freeze}: the freeze-time collection may renumber
-    handles (under {!Bdd.Compact}), and the relation's registered root
+    after} {!Space.freeze}: the freeze-time collection renumbers
+    handles, and the relation's registered root
     is rewritten in place by that collection — a capture taken
     afterwards reads the renumbered handle, valid against the frozen
     space; one taken before would go stale. *)

@@ -32,17 +32,15 @@ val create :
   ?page_bits:int ->
   ?mem_cap_bytes:int ->
   ?spill_path:string ->
-  ?gc_mode:Bdd.gc_mode ->
   unit ->
   t
 (** [node_hint]/[cache_bits] size the manager as in {!Bdd.create}.
     [page_bits] sets the arena page size; [mem_cap_bytes] caps resident
     node-page bytes, spilling cold pages to [spill_path] (default a
-    temp file) — see {!Bdd.create}'s [max_bytes].  [gc_mode] defaults
-    to {!Bdd.Compact}: solver spaces retain every handle behind
-    registered roots or remap hooks, so collections renumber and
-    cluster survivors by variable level (the locality that makes the
-    byte cap workable and speeds up uncapped solves). *)
+    temp file) — see {!Bdd.create}'s [max_bytes].  Collections
+    renumber (see {!Bdd.gc}): every handle the relational layer
+    retains lives behind a {!Relation} root or a registered root
+    hook. *)
 
 val man : t -> Bdd.man
 
@@ -113,8 +111,8 @@ type frozen
 
 val freeze : t -> frozen
 (** Snapshot the space.  The live space stays usable; its later
-    mutations do not affect the snapshot.  Handles live at freeze time
-    keep their meaning (see {!Bdd.freeze}). *)
+    mutations do not affect the snapshot.  Handles read back from their
+    roots after [freeze] keep their meaning (see {!Bdd.freeze}). *)
 
 val frozen_bdd : frozen -> Bdd.frozen
 

@@ -11,7 +11,6 @@ type options = {
   page_bits : int option; (* arena page size override, log2 slots *)
   mem_cap_bytes : int option; (* resident node-page byte cap; spill past it *)
   spill_path : string option; (* arena spill file (default: temp file) *)
-  gc_mode : Bdd.gc_mode option; (* default: Space.create's Compact *)
 }
 
 let default_options =
@@ -28,7 +27,6 @@ let default_options =
     page_bits = None;
     mem_cap_bytes = None;
     spill_path = None;
-    gc_mode = None;
   }
 
 let toggles_of_options o =
@@ -83,8 +81,8 @@ type prepared = {
   p_cache_delta : (int * int * Bdd.t) ref;
       (* (delta BDD handle, gc stamp, result); handle -1 = invalid.  The
          handle is only a valid key while no GC has run since it was
-         stored — a collection may free the old delta and let a later
-         [mk] reuse its handle for a different function. *)
+         stored — a collection renumbers, so the old delta's handle may
+         name a different function afterwards. *)
 }
 
 type step_kind = SJoin of prepared | SConstrain of Bdd.t | SSubtract of prepared
@@ -119,7 +117,6 @@ type t = {
   pendings : (string, Bdd.t ref) Hashtbl.t;
   strata : Stratify.stratum list;
   mutable plans : (plan list * plan list) list; (* compiled ir_plans *)
-  mutable plan_consts : Bdd.t list; (* rooted plan-time constants *)
   mutable rule_apps : int;
   mutable stats : stats option;
   mutable budget : Budget.t option;
@@ -300,19 +297,6 @@ let compile_plan t (ir : Ralg.plan) =
       h_consts = !h_consts;
     }
   in
-  (* Gather plan constants for GC rooting. *)
-  let consts = ref [ head.h_consts ] in
-  List.iter (fun e -> consts := e :: !consts) head.h_eqs;
-  Array.iter
-    (fun st ->
-      consts := st.project_after :: !consts;
-      match st.kind with
-      | SJoin p | SSubtract p ->
-        consts := p.p_selects :: p.p_away :: !consts;
-        List.iter (fun e -> consts := e :: !consts) p.p_dup_eqs
-      | SConstrain c -> consts := c :: !consts)
-    steps;
-  t.plan_consts <- !consts @ t.plan_consts;
   { p_ir = ir; steps; head; delta_positions = ir.Ralg.deltas; ev_applications = 0; ev_seconds = 0.0; ev_lookups = 0 }
 
 (* --- Creation --- *)
@@ -337,7 +321,7 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
   in
   let sp =
     Space.create ~node_hint:options.node_hint ~cache_bits:options.cache_bits ?page_bits:options.page_bits
-      ?mem_cap_bytes:options.mem_cap_bytes ?spill_path:options.spill_path ?gc_mode:options.gc_mode ()
+      ?mem_cap_bytes:options.mem_cap_bytes ?spill_path:options.spill_path ()
   in
   let t =
     {
@@ -350,7 +334,6 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
       pendings = Hashtbl.create 8;
       strata;
       plans = [];
-      plan_consts = [];
       rule_apps = 0;
       stats = None;
       budget = options.budget;
@@ -416,48 +399,23 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
     strata;
   (* Compile the IR plans to BDD pipelines. *)
   t.plans <- List.map (fun (once, loop) -> (List.map (compile_plan t) once, List.map (compile_plan t) loop)) ir_plans;
-  (* Root plan constants and prepared caches. *)
-  let full_refs = ref [] in
-  let delta_refs = ref [] in
-  List.iter
-    (fun (once, loop) ->
-      List.iter
-        (fun plan ->
-          Array.iter
-            (fun stp ->
-              match stp.kind with
-              | SJoin p | SSubtract p ->
-                full_refs := p.p_cache_full :: !full_refs;
-                delta_refs := p.p_cache_delta :: !delta_refs
-              | SConstrain _ -> ())
-            plan.steps)
-        (once @ loop))
-    t.plans;
-  Bdd.add_root_fn (Space.man sp) (fun () ->
-      t.plan_consts
-      @ Hashtbl.fold (fun _ b acc -> b :: acc) t.incr_fresh []
-      @ List.map (fun r -> snd !r) !full_refs
-      @ List.map
-          (fun r ->
-            let _, _, b = !r in
-            b)
-          !delta_refs);
-  (* Compacting collections renumber every surviving node.  The root
-     function above only marks; this hook rewrites every handle the
-     engine stores outside registered refs.  The delta cache keys on a
-     pre-GC handle, so it is invalidated rather than remapped (its
-     gc-stamp guard would reject it anyway). *)
-  Bdd.on_remap (Space.man sp) (fun mapf ->
-      t.plan_consts <- List.map mapf t.plan_consts;
-      let fresh' = Hashtbl.fold (fun k b acc -> (k, mapf b) :: acc) t.incr_fresh [] in
-      List.iter (fun (k, b) -> Hashtbl.replace t.incr_fresh k b) fresh';
-      let remap_prepared p =
-        p.p_selects <- mapf p.p_selects;
-        p.p_dup_eqs <- List.map mapf p.p_dup_eqs;
-        p.p_away <- mapf p.p_away;
+  (* One root hook over every handle the engine stores outside
+     registered refs: plan constants, prepared caches and the fresh-tuple
+     unions.  A delta-cache entry is only ever read back under the GC
+     stamp it was stored with, so it stays live through the first
+     collection after it was filled and is dropped at the next. *)
+  let man = Space.man sp in
+  Bdd.add_root_hook man (fun f ->
+      let gcs = Bdd.gc_count man in
+      Hashtbl.filter_map_inplace (fun _ b -> Some (f b)) t.incr_fresh;
+      let visit_prepared p =
+        p.p_selects <- f p.p_selects;
+        p.p_dup_eqs <- List.map f p.p_dup_eqs;
+        p.p_away <- f p.p_away;
         (let ver, b = !(p.p_cache_full) in
-         if ver >= 0 then p.p_cache_full := (ver, mapf b));
-        p.p_cache_delta := (-1, -1, Bdd.bdd_false)
+         p.p_cache_full := (ver, f b));
+        let h, stamp, b = !(p.p_cache_delta) in
+        p.p_cache_delta := if h >= 0 && stamp = gcs then (h, stamp, f b) else (-1, -1, Bdd.bdd_false)
       in
       List.iter
         (fun (once, loop) ->
@@ -465,13 +423,13 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
             (fun plan ->
               Array.iter
                 (fun stp ->
-                  stp.project_after <- mapf stp.project_after;
+                  stp.project_after <- f stp.project_after;
                   match stp.kind with
-                  | SJoin p | SSubtract p -> remap_prepared p
-                  | SConstrain c -> stp.kind <- SConstrain (mapf c))
+                  | SJoin p | SSubtract p -> visit_prepared p
+                  | SConstrain c -> stp.kind <- SConstrain (f c))
                 plan.steps;
-              plan.head.h_eqs <- List.map mapf plan.head.h_eqs;
-              plan.head.h_consts <- mapf plan.head.h_consts)
+              plan.head.h_eqs <- List.map f plan.head.h_eqs;
+              plan.head.h_consts <- f plan.head.h_consts)
             (once @ loop))
         t.plans);
   t
@@ -681,8 +639,8 @@ type violation = {
 let check_fixpoint ?(max_violations = max_int) t =
   let man = Space.man t.sp in
   (* Root the accumulating diffs for the duration of the scan: later
-     plan evaluations may trigger a collection, and under [Compact]
-     the rooted list is rewritten in place with relocated handles —
+     plan evaluations may trigger a collection, which rewrites the
+     rooted list in place with relocated handles —
      so the handles are re-read from [keep] at the end, never from
      stale captures. *)
   let keep = ref [] in

@@ -52,9 +52,6 @@ type options = {
   spill_path : string option;
       (** spill file for evicted pages (a driver points this into its
           store's scratch area); [None] = a fresh temp file *)
-  gc_mode : Bdd.gc_mode option;
-      (** [None] defers to {!Space.create}'s default ({!Bdd.Compact}:
-          collections renumber survivors clustered by variable level) *)
 }
 
 val default_options : options

@@ -84,8 +84,13 @@ let add_alloc ir rng =
   | bodies, ctors ->
     let m = Rng.pick rng bodies in
     let c = Rng.pick rng ctors in
-    let v = Ir.add_local ir m.Ir.m_id ~name:"editv" ~ty:c.Ir.cls_id in
-    let w = Ir.add_local ir m.Ir.m_id ~name:"editw" ~ty:c.Ir.cls_id in
+    (* Name each local after its fresh var id: a second add-alloc into
+       the same body must not redeclare the first one's locals. *)
+    let local prefix =
+      Ir.add_local ir m.Ir.m_id ~name:(Printf.sprintf "%s%d" prefix (Ir.num_vars ir)) ~ty:c.Ir.cls_id
+    in
+    let v = local "editv" in
+    let w = local "editw" in
     ignore (Ir.emit_new ir ~label:"edit-alloc" m.Ir.m_id ~dst:v ~cls:c.Ir.cls_id ~args:[]);
     Ir.emit_assign ir m.Ir.m_id ~dst:w ~src:v;
     Printf.sprintf "add-alloc: new %s plus copy appended to %s.%s" c.Ir.cls_name (Ir.cls ir m.Ir.m_owner).Ir.cls_name

@@ -281,18 +281,35 @@ let test_gc_preserves_roots () =
   Bdd.gc m;
   Alcotest.(check bool) "gc frees something" true (Bdd.live_nodes m < live_before);
   Alcotest.(check int) "rooted value unchanged" table_before (table_of_bdd m n !keep);
-  (* New allocations after gc reuse slots and still compute correctly. *)
+  (* New allocations after gc still compute correctly. *)
   let t2 = 0b0110_1001_1100_0011 in
   Alcotest.(check int) "post-gc allocation" t2 (table_of_bdd m n (bdd_of_table m n t2));
   Alcotest.(check int) "gc counted" 1 (Bdd.gc_count m)
 
-let test_gc_root_fn () =
+let test_gc_root_hook () =
   let m = fresh () in
   let stash = ref Bdd.bdd_true in
-  Bdd.add_root_fn m (fun () -> [ !stash ]);
+  Bdd.add_root_hook m (fun f -> stash := f !stash);
   stash := bdd_of_table m n 0xABCD;
   Bdd.gc m;
-  Alcotest.(check int) "root_fn keeps value" 0xABCD (table_of_bdd m n !stash)
+  Alcotest.(check int) "root hook keeps value" 0xABCD (table_of_bdd m n !stash)
+
+(* A handle held only by a hook, above garbage: the collection must
+   both keep it (mark phase) and move it down over the dead slots
+   (relocation phase).  Skipping the marking call loses the function;
+   skipping the relocation call leaves the old number behind. *)
+let test_gc_root_hook_two_phases () =
+  let m = fresh () in
+  for i = 0 to 30 do
+    ignore (bdd_of_table m n (i * 977 land full_mask))
+  done;
+  let table = 0b1011_0110_0101_1001 in
+  let held = ref (bdd_of_table m n table) in
+  let before = !held in
+  Bdd.add_root_hook m (fun f -> held := f !held);
+  Bdd.gc m;
+  Alcotest.(check bool) "handle renumbered" true (!held <> before);
+  Alcotest.(check int) "same function" table (table_of_bdd m n !held)
 
 let test_table_growth () =
   (* Force many allocations through a tiny initial table. *)
@@ -356,8 +373,8 @@ let test_cache_survives_gc () =
     ignore (bdd_of_table m n (i * 41 land full_mask))
   done;
   (* Refresh the cache entry (garbage above may have evicted the slot),
-     then collect: operands and result are rooted, so the sweep must
-     keep the entry and the next lookup must hit. *)
+     then collect: operands and result are rooted, so the collection
+     must keep the entry and the next lookup must hit. *)
   ignore (Bdd.mk_and m !f !g);
   Bdd.gc m;
   let hits_before = fst (Bdd.cache_stats m) in
@@ -383,7 +400,8 @@ let () =
           Alcotest.test_case "terminals" `Quick test_terminals;
           Alcotest.test_case "hash consing" `Quick test_hash_consing;
           Alcotest.test_case "gc preserves roots" `Quick test_gc_preserves_roots;
-          Alcotest.test_case "gc root functions" `Quick test_gc_root_fn;
+          Alcotest.test_case "gc root functions" `Quick test_gc_root_hook;
+          Alcotest.test_case "gc root hook marks and rewrites" `Quick test_gc_root_hook_two_phases;
           Alcotest.test_case "node table growth" `Quick test_table_growth;
           Alcotest.test_case "extend_vars" `Quick test_extend_vars;
           Alcotest.test_case "map monotonicity" `Quick test_map_monotone;

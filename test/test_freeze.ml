@@ -43,7 +43,9 @@ let sats_ctx ctx f =
   List.sort compare !acc
 
 (* A pool of rooted BDDs over a fresh manager: all literals plus
-   [extra] random combinations. *)
+   [extra] random combinations.  Collections (the one inside [freeze]
+   included) renumber, so callers read the pool back from its root
+   after [freeze] returns. *)
 let build_pool rng man extra =
   let pool = ref [] in
   let add f = pool := f :: !pool in
@@ -61,25 +63,32 @@ let build_pool rng man extra =
       | 3 -> Bdd.mk_xor man (pick ()) (pick ())
       | _ -> Bdd.mk_not man (pick ()))
   done;
-  Bdd.add_root_fn man (fun () -> !pool);
+  Bdd.add_root_hook man (fun f -> pool := List.map f !pool);
   pool
 
-let setup ?(extra = 60) seed =
+(* A fresh manager and pool, frozen; the pool is read back after the
+   freeze, so its handles are valid both live and in the snapshot. *)
+let setup_frozen ?(extra = 60) seed =
   let rng = Random.State.make [| seed |] in
   let man = Bdd.create ~node_hint:256 ~nvars () in
   let pool = build_pool rng man extra in
-  (rng, man, Array.of_list !pool)
+  let fz = Bdd.freeze man in
+  (rng, man, fz, Array.of_list !pool)
 
 (* --- snapshot isolation --------------------------------------------- *)
 
 let test_frozen_matches_live () =
-  let rng, man, pool = setup 0xF7EE2E in
-  (* Unrooted garbage, so the freeze-time GC has something to sweep. *)
+  let rng = Random.State.make [| 0xF7EE2E |] in
+  let man = Bdd.create ~node_hint:256 ~nvars () in
+  let rooted = build_pool rng man 60 in
+  let pool = Array.of_list !rooted in
+  (* Unrooted garbage, so the freeze-time GC has something to collect. *)
   for _ = 1 to 50 do
     ignore (Bdd.mk_and man pool.(Random.State.int rng (Array.length pool)) (Bdd.ithvar man 0))
   done;
   let reference = Array.map (sats_live man) pool in
   let fz = Bdd.freeze man in
+  let pool = Array.of_list !rooted in
   Alcotest.(check int) "frozen nvars" nvars (Bdd.frozen_nvars fz);
   Alcotest.(check bool) "frozen live nodes positive" true (Bdd.frozen_live_nodes fz > 0);
   let ctx = Bdd.eval_ctx fz in
@@ -100,10 +109,11 @@ let test_frozen_matches_live () =
         (Printf.sprintf "pool %d via ctx after live churn+gc" i)
         reference.(i) (sats_ctx ctx f))
     pool;
-  (* And the live handles still answer the same too (roots held). *)
-  Array.iteri
+  (* And the live handles, read back from their root after the
+     collection, still answer the same too. *)
+  List.iteri
     (fun i f -> Alcotest.(check (list int)) (Printf.sprintf "pool %d live" i) reference.(i) (sats_live man f))
-    pool
+    !rooted
 
 (* --- random op differential, live kernels as oracle ------------------ *)
 
@@ -133,7 +143,7 @@ let random_ops rng pool_len count =
 
 let run_ops_live man pool ops =
   let results = ref [] in
-  Bdd.add_root_fn man (fun () -> !results);
+  Bdd.add_root_hook man (fun f -> results := List.map f !results);
   let vals = ref (Array.to_list pool) in
   let get i = List.nth !vals i in
   List.iter
@@ -174,8 +184,7 @@ let run_ops_ctx ctx pool ops =
   List.rev !sats
 
 let test_ctx_differential () =
-  let rng, man, pool = setup 0xD1FF in
-  let fz = Bdd.freeze man in
+  let rng, man, fz, pool = setup_frozen 0xD1FF in
   let ctx = Bdd.eval_ctx fz in
   (* Three rounds against the live oracle, resetting the ctx between
      rounds: every round restarts from frozen handles only, so reset
@@ -202,8 +211,7 @@ let test_ctx_differential () =
 (* --- concurrent ctxs -------------------------------------------------- *)
 
 let test_concurrent_ctxs () =
-  let rng, man, pool = setup 0xC0C0 in
-  let fz = Bdd.freeze man in
+  let rng, man, fz, pool = setup_frozen 0xC0C0 in
   let ops = random_ops rng (Array.length pool) 60 in
   let reference = run_ops_live man pool ops in
   let n_ctxs = 4 in
@@ -241,8 +249,7 @@ let wide_union c =
   !acc
 
 let test_ctx_counting_and_budget () =
-  let rng, man, pool = setup ~extra:40 0x5A7C0 in
-  let fz = Bdd.freeze man in
+  let rng, man, fz, pool = setup_frozen ~extra:40 0x5A7C0 in
   let ctx = Bdd.eval_ctx fz in
   Array.iteri
     (fun i f ->
@@ -281,8 +288,9 @@ let test_ctx_counting_and_budget () =
 let test_frozen_pages_untouched () =
   let rng = Random.State.make [| 0x5EA1ED |] in
   let man = Bdd.create ~node_hint:256 ~page_bits:4 ~nvars () in
-  let pool = Array.of_list !(build_pool rng man 60) in
+  let rooted = build_pool rng man 60 in
   let fz = Bdd.freeze man in
+  let pool = Array.of_list !rooted in
   (* Every frozen page array and the bucket array, byte for byte. *)
   let digest () = Digest.to_hex (Digest.string (Marshal.to_string fz [])) in
   let before = digest () in
@@ -323,8 +331,10 @@ let test_cache_across_reset () =
   let f = Bdd.mk_or man (x 0) (x 2) and g = Bdd.mk_or man (x 1) (x 3) in
   let fg = Bdd.mk_and man f g in
   let p = Bdd.mk_or man (x 4) (x 6) and q = Bdd.mk_or man (x 5) (x 7) in
-  Bdd.add_root_fn man (fun () -> [ f; g; fg; p; q ]);
+  let held = [| f; g; fg; p; q |] in
+  Bdd.add_root_hook man (fun h -> Array.iteri (fun i b -> held.(i) <- h b) held);
   let fz = Bdd.freeze man in
+  let f = held.(0) and g = held.(1) and fg = held.(2) and p = held.(3) and q = held.(4) in
   let ctx = Bdd.eval_ctx fz in
   (* An [and] whose result the snapshot already holds is cached under
      frozen handles only, so it still hits after a reset. *)

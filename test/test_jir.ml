@@ -328,6 +328,25 @@ let test_generator_roundtrip () =
     (fun (n1, t1) (_, t2) -> Alcotest.(check (list (list string))) (Printf.sprintf "facts of %s" n1) t1 t2)
     f1 f2
 
+(* The same add-alloc applied twice lands in the same method body; the
+   edited program must still print, parse and analyze. *)
+let test_add_alloc_twice () =
+  let p = Synth.Generator.generate (Synth.Profiles.params ~scale:0.01 (Option.get (Synth.Profiles.find "freetts"))) in
+  let spec = { Synth.Edits.kind = Synth.Edits.Add_alloc; seed = 1 } in
+  let d1 = Synth.Edits.apply p spec and d2 = Synth.Edits.apply p spec in
+  Alcotest.(check string) "both edits hit the same body" d1 d2;
+  let p2 = Jparser.parse (Jprinter.to_string p) in
+  Alcotest.(check int) "stmt count" (Ir.stmt_count p) (Ir.stmt_count p2);
+  let r = Pta.Analyses.run_basic ~algo:Pta.Analyses.Algo2 (Factgen.extract p2) in
+  let vp = Datalog.Engine.relation r.Pta.Analyses.engine "vP" in
+  let vdom = (List.hd (Relation.attrs vp)).Relation.block.Space.dom in
+  let is_edit_local t =
+    let local = List.hd (List.rev (String.split_on_char '.' (Domain.element_name vdom t.(0)))) in
+    String.starts_with ~prefix:"editv" local
+  in
+  Alcotest.(check int) "each edit local points to its allocation" 2
+    (List.length (List.filter is_edit_local (Relation.tuples vp)))
+
 let test_arrays_and_exceptions () =
   let src =
     {|
@@ -462,6 +481,7 @@ let () =
         [
           Alcotest.test_case "generator sanity" `Quick test_generator_sanity;
           Alcotest.test_case "generator roundtrip" `Quick test_generator_roundtrip;
+          Alcotest.test_case "add-alloc twice parses and analyzes" `Quick test_add_alloc_twice;
           Alcotest.test_case "arrays and exceptions" `Quick test_arrays_and_exceptions;
           Alcotest.test_case "interfaces" `Quick test_interfaces;
           Alcotest.test_case "profiles" `Quick test_profiles;

@@ -468,8 +468,10 @@ let test_serve_line_fuzz () =
 
 (* In-process backend daemon speaking the wire protocol over a unix
    socket, exactly as the ptacli serve driver frames it; the router
-   relays fuzz through it. *)
+   relays fuzz through it.  [open_conns] counts the connections it has
+   accepted and not yet closed. *)
 let start_fuzz_backend ~sock =
+  let open_conns = Atomic.make 0 in
   let st = Store.load ~dir:(Lazy.force fuzz_store_dir) in
   let srv = Serve.make st in
   let stats = Serve.make_stats () in
@@ -488,6 +490,7 @@ let start_fuzz_backend ~sock =
             match Unix.accept fd with
             | exception Unix.Unix_error _ -> ()
             | cfd, _ ->
+              Atomic.incr open_conns;
               let ic = Unix.in_channel_of_descr cfd and oc = Unix.out_channel_of_descr cfd in
               let ctx = Serve.new_ctx srv in
               (try
@@ -509,18 +512,28 @@ let start_fuzz_backend ~sock =
                    end
                  done
                with End_of_file | Sys_error _ -> ());
-              try Unix.close cfd with Unix.Unix_error _ -> ())
+              (try Unix.close cfd with Unix.Unix_error _ -> ());
+              Atomic.decr open_conns)
         done;
         try Unix.close fd with Unix.Unix_error _ -> ())
       ()
   in
-  (thread, stop)
+  (thread, stop, open_conns)
+
+(* The backend thread closes its end of a connection only after it
+   reads the client's EOF, so an fd count taken right after the client
+   hangs up can still see it.  Wait (bounded) for the backend to drain. *)
+let await_backend_idle open_conns =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get open_conns > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done
 
 let test_router_relay_fuzz () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "fuzz-backend-%d.sock" (Unix.getpid ())) in
   (try Sys.remove sock with Sys_error _ -> ());
-  let thread, stop = start_fuzz_backend ~sock in
+  let thread, stop, open_conns = start_fuzz_backend ~sock in
   (* Snappy retry policy: hostile lines that legitimately drop the
      backend connection ("quit", protocol desync) burn a full
      timeout+backoff ladder each; the defaults would stretch 1k lines
@@ -547,6 +560,7 @@ let test_router_relay_fuzz () =
       try Sys.remove sock with Sys_error _ -> ())
     (fun () ->
       Pta.Router.probe_all router;
+      await_backend_idle open_conns;
       let fd0 = count_fds () in
       (* The wire protocol is line-framed, so a client can never hand
          the relay an embedded newline: strip them (a raw \n would
@@ -579,6 +593,7 @@ let test_router_relay_fuzz () =
         Alcotest.(check (list string)) "post-fuzz count vP body" [ "vP 8" ] r.Pta.Router.rp_body
       | None -> Alcotest.fail "post-fuzz count vP owed a reply");
       Pta.Router.close_session session;
+      await_backend_idle open_conns;
       match (fd0, count_fds ()) with
       | Some before, Some after ->
         (* The sticky backend connection is closed; only pre-existing
