@@ -66,35 +66,23 @@ let budget_term =
   in
   Term.(const make $ max_nodes $ max_allocs $ timeout $ max_iters)
 
-let options_of_budget ?(mem = (None, None)) budget =
-  let page_bits, mem_cap_mib = mem in
+let options_of_budget ?mem_cap_mib budget =
   {
     Datalog.Engine.default_options with
     Datalog.Engine.budget;
-    page_bits;
     mem_cap_bytes = Option.map (fun mib -> mib * 1024 * 1024) mem_cap_mib;
   }
 
-(* --- node-arena paging knobs --- *)
+(* --- node-arena memory cap --- *)
 
 let mem_term =
-  let page_bits =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "page-bits" ] ~docv:"B"
-          ~doc:"Node-arena page size: $(docv) node slots per page as a power of two (default 12 = 4096 slots).")
-  in
-  let mem_cap =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "mem-cap" ] ~docv:"MIB"
-          ~doc:
-            "Cap resident BDD node pages at $(docv) MiB.  Past the cap, cold pages spill to a scratch file and \
-             fault back in on demand; answers are bit-identical to an uncapped run.")
-  in
-  Term.(const (fun p c -> (p, c)) $ page_bits $ mem_cap)
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "mem-cap" ] ~docv:"MIB"
+        ~doc:
+          "Cap resident BDD node pages at $(docv) MiB.  Past the cap, cold pages spill to a scratch file and \
+           fault back in on demand; answers are bit-identical to an uncapped run.")
 
 (* Turn a structured solver error into the process exit protocol (the
    top-level handler prints it and maps it to an exit code). *)
@@ -255,7 +243,7 @@ let analyze_cmd =
   let run path algo dump stats budget mem fallback save_store_dir =
     let p = or_die (read_program path) in
     let fg = Factgen.extract p in
-    let options = options_of_budget ~mem budget in
+    let options = options_of_budget ?mem_cap_mib:mem budget in
     (match (save_store_dir, algo) with
     | Some _, (Handcoded | Steens) ->
       prerr_endline "ptacli: --save-store needs an engine-backed algorithm (not handcoded/steensgaard)";
@@ -607,7 +595,7 @@ let basic_of_tag = function
 
 let update_cmd =
   let run path dir budget mem stats watch poll_interval compact_every certify no_certify =
-    let options = options_of_budget ~mem budget in
+    let options = options_of_budget ?mem_cap_mib:mem budget in
     (* Certification default: on for --watch (a long-running writer
        feeding --require-certified followers must never commit an
        unvouched layer), off for a one-shot update unless asked. *)
@@ -823,7 +811,7 @@ let update_cmd =
    --require-certified` demands.  Exit 1 with the violating rule and
    bounded witness tuples on a failure. *)
 let run_certification path dir budget mem max_witness =
-  let options = options_of_budget ~mem budget in
+  let options = options_of_budget ?mem_cap_mib:mem budget in
   if not (Store.exists ~dir) then begin
     prerr_endline
       (Printf.sprintf "ptacli: no store at %s/store (run 'analyze --save-store %s' first)" dir dir);
@@ -922,6 +910,90 @@ let prepare_socket_path path =
       Printf.eprintf "serve: %s exists and is not a socket; refusing to remove it\n%!" path;
       exit 1
   end
+
+(* The one accept loop behind [serve --socket] and [route]: bind and
+   listen on [path], print [banner], then accept until [!shutdown],
+   running [conn id ic oc] on its own thread per connection.  Past
+   [max_clients] live connections a new one gets an explicit
+   [err busy] reply naming [who] and is hung up on.  [on_connect] and
+   [on_reject] count the two outcomes.  The return is the graceful
+   drain, in order: stop accepting; half-close every live connection
+   so blocked readers see EOF once their in-flight request has been
+   answered; join the connection threads.  The caller then tears down
+   whatever the connections used and removes the socket file. *)
+let accept_loop ~path ~banner ~who ~max_clients ~shutdown ?(on_connect = ignore) ?(on_reject = ignore) conn =
+  prepare_socket_path path;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 16;
+  Printf.eprintf "%s\n%!" banner;
+  (* conn_mutex guards all of: active, conn_fds, threads.  The
+     shutdown path reads them from the main thread while connection
+     workers mutate them. *)
+  let conn_mutex = Mutex.create () in
+  let active = ref 0 in
+  let conn_fds : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 8 in
+  let threads = ref [] in
+  let next_id = ref 0 in
+  let worker (id, cfd) =
+    let ic = Unix.in_channel_of_descr cfd and oc = Unix.out_channel_of_descr cfd in
+    conn id ic oc;
+    (try flush oc with Sys_error _ -> ());
+    Mutex.lock conn_mutex;
+    decr active;
+    Hashtbl.remove conn_fds id;
+    Mutex.unlock conn_mutex;
+    try Unix.close cfd with Unix.Unix_error _ -> ()
+  in
+  (* EINTR-safe, shutdown-aware accept: select with a short timeout so
+     a signal that lands between syscalls is still noticed. *)
+  let rec accept_next () =
+    if !shutdown then None
+    else
+      match Unix.select [ fd ] [] [] 0.25 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
+      | [], _, _ -> accept_next ()
+      | _ :: _, _, _ -> (
+        match Unix.accept fd with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
+        | cfd, _ -> Some cfd)
+  in
+  let rec loop () =
+    match accept_next () with
+    | None -> ()
+    | Some cfd ->
+      Mutex.lock conn_mutex;
+      let full = !active >= max_clients in
+      if not full then incr active;
+      Mutex.unlock conn_mutex;
+      if full then begin
+        (* Backpressure: explicit err busy reply, then hang up. *)
+        on_reject ();
+        let oc = Unix.out_channel_of_descr cfd in
+        (try
+           Printf.fprintf oc "err busy 0 0us\n%s at capacity (%d connections); retry later\n" who max_clients;
+           flush oc
+         with Sys_error _ -> ());
+        try Unix.close cfd with Unix.Unix_error _ -> ()
+      end
+      else begin
+        on_connect ();
+        incr next_id;
+        let id = !next_id in
+        Mutex.lock conn_mutex;
+        Hashtbl.replace conn_fds id cfd;
+        threads := Thread.create worker (id, cfd) :: !threads;
+        Mutex.unlock conn_mutex
+      end;
+      loop ()
+  in
+  loop ();
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Mutex.lock conn_mutex;
+  Hashtbl.iter (fun _ cfd -> try Unix.shutdown cfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()) conn_fds;
+  let conn_threads = !threads in
+  Mutex.unlock conn_mutex;
+  List.iter (fun t -> try Thread.join t with _ -> ()) conn_threads
 
 let serve_cmd =
   let run dir socket max_clients workers req_timeout req_max_allocs req_max_nodes follow poll_interval
@@ -1064,94 +1136,22 @@ let serve_cmd =
       let handler _ = shutdown := true in
       Sys.set_signal Sys.sigterm (Sys.Signal_handle handler);
       Sys.set_signal Sys.sigint (Sys.Signal_handle handler);
-      prepare_socket_path path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      Printf.eprintf
-        "serve: listening on %s (max %d concurrent connections, %d worker domain%s; 'quit' ends a connection; \
-         SIGTERM drains and exits)\n%!"
-        path max_clients
-        (Pta.Serve.Pool.workers pool)
-        (if Pta.Serve.Pool.workers pool = 1 then "" else "s");
-      (* conn_mutex guards all of: active, conn_fds, threads.  The
-         shutdown path reads them from the main thread while
-         connection workers mutate them. *)
-      let conn_mutex = Mutex.create () in
-      let active = ref 0 in
-      let conn_fds : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 8 in
-      let threads = ref [] in
-      let next_id = ref 0 in
-      let worker (id, cfd) =
-        let ic = Unix.in_channel_of_descr cfd and oc = Unix.out_channel_of_descr cfd in
-        let n = handle_channel ic oc in
-        Printf.eprintf "serve: connection closed (%d queries)\n%!" n;
-        (try flush oc with Sys_error _ -> ());
-        Mutex.lock conn_mutex;
-        decr active;
-        Hashtbl.remove conn_fds id;
-        Mutex.unlock conn_mutex;
-        try Unix.close cfd with Unix.Unix_error _ -> ()
-      in
-      (* EINTR-safe, shutdown-aware accept: select with a short timeout
-         so a signal that lands between syscalls is still noticed. *)
-      let rec accept_next () =
-        if !shutdown then None
-        else
-          match Unix.select [ fd ] [] [] 0.25 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-          | [], _, _ -> accept_next ()
-          | _ :: _, _, _ -> (
-            match Unix.accept fd with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-            | cfd, _ -> Some cfd)
-      in
-      let rec loop () =
-        match accept_next () with
-        | None -> ()
-        | Some cfd ->
-          Mutex.lock conn_mutex;
-          let full = !active >= max_clients in
-          if not full then incr active;
-          Mutex.unlock conn_mutex;
-          if full then begin
-            (* Backpressure: explicit err busy reply, then hang up. *)
-            Atomic.incr stats.Pta.Serve.s_rejected;
-            let oc = Unix.out_channel_of_descr cfd in
-            (try
-               Printf.fprintf oc "err busy 0 0us\nserver at capacity (%d connections); retry later\n" max_clients;
-               flush oc
-             with Sys_error _ -> ());
-            try Unix.close cfd with Unix.Unix_error _ -> ()
-          end
-          else begin
-            Atomic.incr stats.Pta.Serve.s_connections;
-            incr next_id;
-            let id = !next_id in
-            Mutex.lock conn_mutex;
-            Hashtbl.replace conn_fds id cfd;
-            threads := Thread.create worker (id, cfd) :: !threads;
-            Mutex.unlock conn_mutex
-          end;
-          loop ()
-      in
-      loop ();
-      (* Graceful shutdown, in order: stop accepting; half-close every
-         live connection so blocked readers see EOF once their
-         in-flight request has been answered; join the connection
-         threads (each drains through [Pool.run] first); only then
-         shut the pool down and join the worker domains; finally
-         remove the socket file and print stats.  The pool must
-         outlive the connection threads or an in-flight [Pool.run]
-         would bounce with [err shutdown]. *)
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Mutex.lock conn_mutex;
-      Hashtbl.iter
-        (fun _ cfd -> try Unix.shutdown cfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-        conn_fds;
-      let conn_threads = !threads in
-      Mutex.unlock conn_mutex;
-      List.iter (fun t -> try Thread.join t with _ -> ()) conn_threads;
+      accept_loop ~path ~who:"server" ~max_clients ~shutdown
+        ~banner:
+          (Printf.sprintf
+             "serve: listening on %s (max %d concurrent connections, %d worker domain%s; 'quit' ends a \
+              connection; SIGTERM drains and exits)"
+             path max_clients (Pta.Serve.Pool.workers pool)
+             (if Pta.Serve.Pool.workers pool = 1 then "" else "s"))
+        ~on_connect:(fun () -> Atomic.incr stats.Pta.Serve.s_connections)
+        ~on_reject:(fun () -> Atomic.incr stats.Pta.Serve.s_rejected)
+        (fun _ ic oc ->
+          let n = handle_channel ic oc in
+          Printf.eprintf "serve: connection closed (%d queries)\n%!" n);
+      (* Then, in order: shut the pool down and join the worker
+         domains; finally remove the socket file and print stats.  The
+         pool must outlive the connection threads or an in-flight
+         [Pool.run] would bounce with [err shutdown]. *)
       join_watcher ();
       Pta.Serve.Pool.shutdown pool;
       (try Sys.remove path with Sys_error _ -> ());
@@ -1291,91 +1291,29 @@ let route_cmd =
           done)
         ()
     in
-    prepare_socket_path socket;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX socket);
-    Unix.listen fd 16;
-    Printf.eprintf "route: listening on %s over %d backend(s) (max %d clients, %d retries)\n%!" socket
-      (List.length backends) max_clients (max 0 retries);
-    let conn_mutex = Mutex.create () in
-    let active = ref 0 in
-    let conn_fds : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 8 in
-    let threads = ref [] in
-    let next_id = ref 0 in
-    let worker (id, cfd) =
-      let ic = Unix.in_channel_of_descr cfd and oc = Unix.out_channel_of_descr cfd in
-      let sess = Pta.Router.session ~seed:id in
-      (try
-         let continue = ref true in
-         while !continue do
-           let line = input_line ic in
-           if String.trim line = "quit" then continue := false
-           else begin
-             (match Pta.Router.handle router sess line with
-             | None -> ()
-             | Some r ->
-               output_string oc (r.Pta.Router.rp_header ^ "\n");
-               List.iter (fun l -> output_string oc (l ^ "\n")) r.Pta.Router.rp_body);
-             flush oc;
-             if !shutdown then continue := false
-           end
-         done
-       with End_of_file | Sys_error _ -> ());
-      Pta.Router.close_session sess;
-      (try flush oc with Sys_error _ -> ());
-      Mutex.lock conn_mutex;
-      decr active;
-      Hashtbl.remove conn_fds id;
-      Mutex.unlock conn_mutex;
-      try Unix.close cfd with Unix.Unix_error _ -> ()
-    in
-    let rec accept_next () =
-      if !shutdown then None
-      else
-        match Unix.select [ fd ] [] [] 0.25 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-        | [], _, _ -> accept_next ()
-        | _ :: _, _, _ -> (
-          match Unix.accept fd with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-          | cfd, _ -> Some cfd)
-    in
-    let rec loop () =
-      match accept_next () with
-      | None -> ()
-      | Some cfd ->
-        Mutex.lock conn_mutex;
-        let full = !active >= max_clients in
-        if not full then incr active;
-        Mutex.unlock conn_mutex;
-        if full then begin
-          let oc = Unix.out_channel_of_descr cfd in
-          (try
-             Printf.fprintf oc "err busy 0 0us\nrouter at capacity (%d connections); retry later\n"
-               max_clients;
-             flush oc
-           with Sys_error _ -> ());
-          try Unix.close cfd with Unix.Unix_error _ -> ()
-        end
-        else begin
-          incr next_id;
-          let id = !next_id in
-          Mutex.lock conn_mutex;
-          Hashtbl.replace conn_fds id cfd;
-          threads := Thread.create worker (id, cfd) :: !threads;
-          Mutex.unlock conn_mutex
-        end;
-        loop ()
-    in
-    loop ();
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Mutex.lock conn_mutex;
-    Hashtbl.iter
-      (fun _ cfd -> try Unix.shutdown cfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conn_fds;
-    let conn_threads = !threads in
-    Mutex.unlock conn_mutex;
-    List.iter (fun t -> try Thread.join t with _ -> ()) conn_threads;
+    accept_loop ~path:socket ~who:"router" ~max_clients ~shutdown
+      ~banner:
+        (Printf.sprintf "route: listening on %s over %d backend(s) (max %d clients, %d retries)" socket
+           (List.length backends) max_clients (max 0 retries))
+      (fun id ic oc ->
+        let sess = Pta.Router.session ~seed:id in
+        (try
+           let continue = ref true in
+           while !continue do
+             let line = input_line ic in
+             if String.trim line = "quit" then continue := false
+             else begin
+               (match Pta.Router.handle router sess line with
+               | None -> ()
+               | Some r ->
+                 output_string oc (r.Pta.Router.rp_header ^ "\n");
+                 List.iter (fun l -> output_string oc (l ^ "\n")) r.Pta.Router.rp_body);
+               flush oc;
+               if !shutdown then continue := false
+             end
+           done
+         with End_of_file | Sys_error _ -> ());
+        Pta.Router.close_session sess);
     (try Thread.join prober with _ -> ());
     (try Sys.remove socket with Sys_error _ -> ());
     Printf.eprintf "route: shutdown\n";

@@ -289,18 +289,17 @@ let compose a b away =
 
 (* --- Frozen relation handles ---------------------------------------
 
-   A [frozen] is a relation value against a frozen space: name, attrs,
+   A [frozen] is a relation value against a frozen space: attrs and
    root handle.  It is immutable and shareable across domains; the
    _ctx operations below run the live kernels in the caller's ctx, so
    any number of domains can evaluate over the same frozen relations
    with no shared-state writes and no disposal bookkeeping (a
    ctx_reset reclaims everything at once). *)
 
-type frozen = { fr_name : string; fr_attrs : attr array; fr_bdd : Bdd.t }
+type frozen = { fr_attrs : attr array; fr_bdd : Bdd.t }
 
-let freeze r = { fr_name = r.rel_name; fr_attrs = r.attributes; fr_bdd = !(r.root) }
+let freeze r = { fr_attrs = r.attributes; fr_bdd = !(r.root) }
 
-let frozen_name fr = fr.fr_name
 let frozen_attrs fr = Array.to_list fr.fr_attrs
 let frozen_arity fr = Array.length fr.fr_attrs
 let frozen_bdd fr = fr.fr_bdd
@@ -320,7 +319,7 @@ let project_ctx ctx fr keep =
     List.filter (fun a -> not (List.exists (fun k -> k.attr_name = a.attr_name) kept)) (frozen_attrs fr)
   in
   let cube = Space.cube_of_blocks_ctx ctx (List.map (fun a -> a.block) away) in
-  { fr_name = fr.fr_name; fr_attrs = Array.of_list kept; fr_bdd = Bdd.exist ctx ~cube fr.fr_bdd }
+  { fr_attrs = Array.of_list kept; fr_bdd = Bdd.exist ctx ~cube fr.fr_bdd }
 
 let inter_ctx ctx a b =
   let same =

@@ -96,7 +96,7 @@ val compose : t -> t -> string list -> t
 
 (** {2 Frozen relation handles}
 
-    Immutable relation values against a {!Space.frozen}: shareable
+    Immutable relation values against a {!Bdd.frozen}: shareable
     across domains, evaluated with the [_ctx] operations below, which
     allocate only in the caller's {!Bdd.ctx} — no disposal needed, a
     {!Bdd.ctx_reset} reclaims every intermediate at once. *)
@@ -105,13 +105,12 @@ type frozen
 
 val freeze : t -> frozen
 (** Capture the relation's current contents.  Take the capture {e
-    after} {!Space.freeze}: the freeze-time collection renumbers
+    after} {!Bdd.freeze}: the freeze-time collection renumbers
     handles, and the relation's registered root
     is rewritten in place by that collection — a capture taken
     afterwards reads the renumbered handle, valid against the frozen
     space; one taken before would go stale. *)
 
-val frozen_name : frozen -> string
 val frozen_attrs : frozen -> attr list
 val frozen_arity : frozen -> int
 val frozen_bdd : frozen -> Bdd.t

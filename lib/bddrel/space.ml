@@ -140,33 +140,3 @@ let value_of_bits assignment ~offset ~width =
     v := (!v * 2) lor if assignment.(offset + i) then 1 else 0
   done;
   !v
-
-(* --- Frozen spaces --- *)
-
-type frozen = {
-  f_bdd : Bdd.frozen;
-  f_by_domain : (string * block list) list;
-  f_nvars : int;
-}
-
-let freeze s =
-  {
-    f_bdd = Bdd.freeze s.man;
-    f_by_domain = Hashtbl.fold (fun name r acc -> (name, !r) :: acc) s.by_domain [];
-    f_nvars = s.next_var;
-  }
-
-let frozen_bdd f = f.f_bdd
-let frozen_bytes f = Bdd.frozen_bytes f.f_bdd
-let frozen_num_vars f = f.f_nvars
-
-let frozen_instances f d =
-  match List.assoc_opt (Domain.name d) f.f_by_domain with
-  | Some bs -> bs
-  | None -> []
-
-let frozen_domains f =
-  let ds = List.filter_map (fun (_, bs) -> match bs with b :: _ -> Some b.dom | [] -> None) f.f_by_domain in
-  List.sort (fun a b -> compare (Domain.name a) (Domain.name b)) ds
-
-let eval_ctx f = Bdd.eval_ctx f.f_bdd

@@ -99,32 +99,12 @@ val renaming : t -> (block * block) list -> Bdd.varmap
 val value_of_bits : bool array -> offset:int -> width:int -> int
 (** Decode an assignment slice (LSB first) into an element value. *)
 
-(** {2 Frozen spaces}
+(** {2 Evaluation contexts}
 
-    An immutable snapshot of the whole space — the underlying
-    {!Bdd.frozen} plus the block layout — shareable across domains for
-    parallel warm-query evaluation.  Blocks are immutable, so block
-    values taken before the freeze (e.g. inside relation attributes)
-    remain valid against the frozen space. *)
-
-type frozen
-
-val freeze : t -> frozen
-(** Snapshot the space.  The live space stays usable; its later
-    mutations do not affect the snapshot.  Handles read back from their
-    roots after [freeze] keep their meaning (see {!Bdd.freeze}). *)
-
-val frozen_bdd : frozen -> Bdd.frozen
-
-val frozen_bytes : frozen -> int
-(** Resident heap footprint of the snapshot (see {!Bdd.frozen_bytes}). *)
-
-val frozen_num_vars : frozen -> int
-val frozen_instances : frozen -> Domain.t -> block list
-val frozen_domains : frozen -> Domain.t list
-
-val eval_ctx : frozen -> Bdd.ctx
-(** A fresh per-domain evaluation context over the snapshot. *)
+    Element encodings against a {!Bdd.ctx} over a {!Bdd.freeze}
+    snapshot of {!man}.  Blocks are immutable, so block values taken
+    before the freeze (e.g. inside relation attributes) remain valid
+    against the snapshot. *)
 
 val const_ctx : Bdd.ctx -> block -> int -> Bdd.t
 (** {!const} against a ctx: minterm of one element value. *)

@@ -46,19 +46,16 @@ let format_version = 3
 let layer_format_version = 1
 
 let subdir dir = Filename.concat dir "store"
-let manifest_path dir = Filename.concat (subdir dir) "manifest"
-let bdd_file = "relations.bdd"
-let bdd_path dir = Filename.concat (subdir dir) bdd_file
-let map_file dom_name = dom_name ^ ".map"
-let map_path dir dom_name = Filename.concat (subdir dir) (map_file dom_name)
+let store_path dir file = Filename.concat (subdir dir) file
 
-(* Delta-layer files live next to the base under numeric names; the
-   layer manifest is each layer's single commit point, exactly as the
-   base manifest is for the whole store. *)
-let layer_manifest_file n = Printf.sprintf "layer.%d.manifest" n
-let layer_manifest_path dir n = Filename.concat (subdir dir) (layer_manifest_file n)
-let layer_bdd_file n = Printf.sprintf "layer.%d.bdd" n
-let layer_map_file n dom_name = Printf.sprintf "layer.%d.%s.map" n dom_name
+(* A store is a chain of elements: the base (element 0) and the delta
+   layers 1, 2, ... above it.  Layer files live next to the base under
+   numeric names; each element's manifest is its single commit point,
+   and the base manifest is the commit point of the whole store. *)
+let manifest_file n = if n = 0 then "manifest" else Printf.sprintf "layer.%d.manifest" n
+let bdd_file n = if n = 0 then "relations.bdd" else Printf.sprintf "layer.%d.bdd" n
+let map_file n dom_name = if n = 0 then dom_name ^ ".map" else Printf.sprintf "layer.%d.%s.map" n dom_name
+let manifest_path dir = store_path dir (manifest_file 0)
 
 (* [layer.<n>.<rest>] → [Some n]; anything else → [None]. *)
 let layer_file_index f =
@@ -145,7 +142,7 @@ let check_name what s =
    resets the counter: the next save reads the serial file and keeps
    counting.  The manifest scan below is only a fallback for stores
    written before the serial file existed. *)
-let serial_path dir = Filename.concat (subdir dir) "serial"
+let serial_path dir = store_path dir "serial"
 
 (* Best-effort removal of every delta-layer file.  Called after the
    commit point of a full [save] (which orphans any chain the
@@ -163,7 +160,7 @@ let remove_layer_files dir =
       let manifests, rest = List.partition (fun f -> Filename.check_suffix f ".manifest") files in
       List.iter
         (fun f ->
-          let path = Filename.concat (subdir dir) f in
+          let path = store_path dir f in
           Faults.fs_op ("remove " ^ path);
           try Sys.remove path with Sys_error _ -> ())
         (manifests @ rest);
@@ -171,156 +168,109 @@ let remove_layer_files dir =
       fsync_dir (subdir dir)
     end
 
-let read_serial path =
+(* The first line of [path] that [f] accepts, found with a plain scan
+   (no full parse: an old manifest may be torn or corrupt, and a save
+   must still go through — it starts a fresh history then); [None]
+   when no line matches or the file is missing or unreadable. *)
+let scan_lines path f =
   match open_in path with
   | exception Sys_error _ -> None
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        match input_line ic with
-        | l -> (match int_of_string_opt (String.trim l) with Some n when n >= 0 -> Some n | _ -> None)
-        | exception End_of_file -> None)
+        let rec go () = match f (input_line ic) with Some _ as found -> found | None -> go () in
+        try go () with End_of_file | Sys_error _ -> None)
 
-(* The previous save's snapshot counter, scanned with a plain line
-   match (no full parse: the old manifest may be torn or corrupt, and
-   a save must still go through — it starts a fresh history then). *)
+let non_negative = function Some n when n >= 0 -> Some n | Some _ | None -> None
+let read_serial path = scan_lines path (fun l -> non_negative (int_of_string_opt (String.trim l)))
+
+(* The previous save's snapshot counter, for stores whose serial file
+   predates it. *)
 let scan_snapshot path =
-  if not (Sys.file_exists path) then None
-  else
-    match
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let found = ref None in
-          (try
-             while !found = None do
-               match String.split_on_char ' ' (input_line ic) with
-               | [ "snapshot"; n ] -> found := int_of_string_opt n
-               | _ -> ()
-             done
-           with End_of_file -> ());
-          !found)
-    with
-    | Some n when n >= 0 -> Some n
-    | Some _ | None -> None
-    | exception Sys_error _ -> None
+  scan_lines path (fun l ->
+      match String.split_on_char ' ' l with [ "snapshot"; n ] -> non_negative (int_of_string_opt n) | _ -> None)
 
-let save ~dir ~key ~config ~space ~relations =
-  List.iter
-    (fun r ->
-      check_name "relation" (Relation.name r);
-      if Relation.space r != space then invalid_arg "Store.save: relation from a different space")
-    relations;
-  let names = List.map Relation.name relations in
-  if List.length (List.sort_uniq compare names) <> List.length names then
-    invalid_arg "Store.save: duplicate relation names";
-  List.iter
-    (fun (k, v) ->
-      check_name "config" k;
-      if String.contains v '\n' then invalid_arg "Store.save: config value contains newline")
-    config;
-  let doms = Space.domains space in
-  List.iter (fun d -> check_name "domain" (Domain.name d)) doms;
-  (* Render every data file up front so the checksums the manifest
-     records are over the exact bytes written. *)
-  let maps =
-    List.filter_map
-      (fun d ->
-        match Domain.element_names d with
-        | None -> None
-        | Some names ->
-          let b = Buffer.create 1024 in
-          for i = 0 to Domain.size d - 1 do
-            Buffer.add_string b names.(i);
-            Buffer.add_char b '\n'
-          done;
-          Some (Domain.name d, Buffer.contents b))
-      doms
-  in
-  let dump = Bdd.serialize (Space.man space) (List.map Relation.bdd relations) in
-  let checksums =
-    (bdd_file, String.length dump, Crc32.string dump)
-    :: List.map (fun (dn, content) -> (map_file dn, String.length content, Crc32.string content)) maps
-  in
-  let mpath = manifest_path dir in
-  mkdir_p (subdir dir);
-  (* Monotonic per-directory save counter: the follower swap protocol
-     distinguishes "same key, re-saved" (snapshot bumps) from "nothing
-     changed" (identical key and snapshot).  Allocated from the
-     dedicated serial file (max'd against the manifest for stores
-     predating it) and committed durably *before* the old manifest is
-     invalidated, so a save torn at any later crash point cannot make
-     the counter go backwards. *)
-  let snapshot =
-    let prev =
-      List.fold_left
-        (fun acc o -> match o with Some n -> max acc n | None -> acc)
-        0
-        [ read_serial (serial_path dir); scan_snapshot mpath ]
-    in
-    prev + 1
-  in
-  write_atomic (serial_path dir) (string_of_int snapshot ^ "\n");
-  let manifest =
-    let b = Buffer.create 1024 in
-    Printf.bprintf b "whalelam-store %d\n" format_version;
-    Printf.bprintf b "key %s\n" key;
-    Printf.bprintf b "snapshot %d\n" snapshot;
-    List.iter (fun (k, v) -> Printf.bprintf b "config %s %s\n" k v) config;
-    Printf.bprintf b "nvars %d\n" (Space.num_vars space);
-    List.iter
-      (fun d ->
-        Printf.bprintf b "domain %s %d %d\n" (Domain.name d) (Domain.size d)
-          (if Domain.element_names d = None then 0 else 1))
-      doms;
-    List.iter
-      (fun d ->
-        List.iter
-          (fun (blk : Space.block) ->
-            Printf.bprintf b "block %s %d %s\n" (Domain.name d) blk.Space.instance
-              (String.concat " " (List.map string_of_int (Array.to_list blk.Space.bits))))
-          (Space.instances space d))
-      doms;
-    List.iter
-      (fun r ->
-        Printf.bprintf b "relation %s %s\n" (Relation.name r)
-          (String.concat " "
-             (List.map
-                (fun (a : Relation.attr) ->
-                  Printf.sprintf "%s:%s:%d" a.Relation.attr_name
-                    (Domain.name a.Relation.block.Space.dom)
-                    a.Relation.block.Space.instance)
-                (Relation.attrs r))))
-      relations;
-    List.iter
-      (fun (file, size, crc) -> Printf.bprintf b "checksum %s %d %s\n" file size (Crc32.to_hex crc))
-      checksums;
-    (* Self-checksum over every preceding byte: a flipped bit anywhere
-       above is caught before any field is believed. *)
-    Printf.bprintf b "selfsum %s\n" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
-    Buffer.add_string b "end\n";
-    Buffer.contents b
-  in
-  (* Invalidate any previous store before touching its data files, and
-     make the invalidation durable: a crash after this point must read
-     as "no store", never as the old manifest over new data files. *)
-  if Sys.file_exists mpath then begin
-    Faults.fs_op ("remove " ^ mpath);
-    (try Sys.remove mpath with Sys_error _ -> ());
-    Faults.fs_op ("fsync-dir " ^ subdir dir);
-    fsync_dir (subdir dir)
-  end;
-  List.iter (fun (dn, content) -> write_atomic (map_path dir dn) content) maps;
-  write_atomic (bdd_path dir) dump;
-  (* Manifest written last = the commit point of the whole store. *)
-  write_atomic mpath manifest;
-  (* The new base orphans any delta chain the directory carried (its
-     layers name the previous base's snapshot); reclaim the files. *)
-  remove_layer_files dir
+(* --- The manifest codec ---
 
-(* --- Manifest parsing --- *)
+   Base and layer manifests share one line format.  Both carry the
+   magic line, [key], [snapshot], [config], [nvars], [domain] and
+   [checksum] lines, then [selfsum] and the [end] trailer.  A base adds
+   [block], [relation] and [certified] lines; a layer adds its [layer]
+   index, [base-snapshot], [prev-snapshot] and [delta] lines.  One
+   record holds either kind: the base is element 0, and the fields of
+   the other kind stay empty. *)
+
+type manifest = {
+  m_index : int; (* 0 for the base, n for layer n *)
+  m_key : string; (* content key of the chain up to and including this element *)
+  m_snapshot : int;
+  m_base_snapshot : int; (* layer: the base save this layer extends *)
+  m_prev_snapshot : int; (* layer: the element directly below (base or layer n-1) *)
+  m_config : (string * string) list;
+  m_nvars : int;
+  m_domains : (string * int * bool) list; (* name, size, carries an element-name map *)
+  m_blocks : (string * int * int array) list; (* base: dom, instance, bits *)
+  m_relations : (string * (string * string * int) list) list; (* base: rel, attrs (name, dom, instance) *)
+  m_deltas : string list; (* layer: relation names; dump roots are (added, removed) pairs in this order *)
+  m_checksums : (string * int * int) list; (* file, size, crc32 *)
+  m_certified : (string * int) option; (* base: chain-tip (key, snapshot) a semantic certification vouched for *)
+}
+
+let empty =
+  {
+    m_index = 0;
+    m_key = "";
+    m_snapshot = 0;
+    m_base_snapshot = 0;
+    m_prev_snapshot = 0;
+    m_config = [];
+    m_nvars = 0;
+    m_domains = [];
+    m_blocks = [];
+    m_relations = [];
+    m_deltas = [];
+    m_checksums = [];
+    m_certified = None;
+  }
+
+let magic ~layer =
+  if layer then Printf.sprintf "whalelam-layer %d" layer_format_version
+  else Printf.sprintf "whalelam-store %d" format_version
+
+let render m =
+  let layer = m.m_index > 0 in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%s\n" (magic ~layer);
+  if layer then Printf.bprintf b "layer %d\n" m.m_index;
+  Printf.bprintf b "key %s\n" m.m_key;
+  Printf.bprintf b "snapshot %d\n" m.m_snapshot;
+  if layer then Printf.bprintf b "base-snapshot %d\nprev-snapshot %d\n" m.m_base_snapshot m.m_prev_snapshot;
+  List.iter (fun (k, v) -> Printf.bprintf b "config %s %s\n" k v) m.m_config;
+  Printf.bprintf b "nvars %d\n" m.m_nvars;
+  List.iter
+    (fun (name, size, mapped) -> Printf.bprintf b "domain %s %d %d\n" name size (if mapped then 1 else 0))
+    m.m_domains;
+  List.iter
+    (fun (dname, instance, bits) ->
+      Printf.bprintf b "block %s %d %s\n" dname instance
+        (String.concat " " (List.map string_of_int (Array.to_list bits))))
+    m.m_blocks;
+  List.iter
+    (fun (rname, attrs) ->
+      Printf.bprintf b "relation %s %s\n" rname
+        (String.concat " " (List.map (fun (a, d, i) -> Printf.sprintf "%s:%s:%d" a d i) attrs)))
+    m.m_relations;
+  List.iter (fun name -> Printf.bprintf b "delta %s\n" name) m.m_deltas;
+  List.iter
+    (fun (file, size, crc) -> Printf.bprintf b "checksum %s %d %s\n" file size (Crc32.to_hex crc))
+    m.m_checksums;
+  Option.iter (fun (k, s) -> Printf.bprintf b "certified %s %d\n" k s) m.m_certified;
+  (* Self-checksum over every preceding byte: a flipped bit anywhere
+     above is caught before any field is believed. *)
+  Printf.bprintf b "selfsum %s\n" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
+  Buffer.add_string b "end\n";
+  Buffer.contents b
 
 let read_lines path =
   let ic = try open_in path with Sys_error msg -> bad ~path ~line:0 "%s" msg in
@@ -334,18 +284,6 @@ let read_lines path =
          done
        with End_of_file -> ());
       List.rev !lines)
-
-type manifest = {
-  m_key : string;
-  m_snapshot : int;
-  m_config : (string * string) list;
-  m_nvars : int;
-  m_domains : (string * int * bool) list; (* name, size, has map *)
-  m_blocks : (string * int * int array) list; (* dom, instance, bits *)
-  m_relations : (string * (string * string * int) list) list; (* rel, attrs (name, dom, instance) *)
-  m_checksums : (string * int * int) list; (* file, size, crc32 *)
-  m_certified : (string * int) option; (* chain-tip (key, snapshot) a semantic certification vouched for *)
-}
 
 let split_ws s = String.split_on_char ' ' s |> List.filter (fun f -> f <> "")
 
@@ -375,116 +313,16 @@ let verify_selfsum path lines =
           (Crc32.to_hex recorded) (Crc32.to_hex actual))
   | _ -> bad ~path ~line:(n - 1) "missing selfsum line before the end trailer (truncated manifest)"
 
-let parse_manifest path =
+let parse_manifest ~layer path =
+  let what = if layer then "layer manifest" else "manifest" in
   let lines = read_lines path in
-  let int_field ~line what s =
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> v
-    | Some _ | None -> bad ~path ~line "%s: not a non-negative integer: %s" what s
-  in
   (match lines with
-  | first :: _ when first = Printf.sprintf "whalelam-store %d" format_version -> ()
-  | first :: _ -> bad ~path ~line:1 "unsupported store format: %s" first
-  | [] -> bad ~path ~line:1 "empty manifest");
+  | first :: _ when first = magic ~layer -> ()
+  | first :: _ -> bad ~path ~line:1 "unsupported %s format: %s" (if layer then "layer" else "store") first
+  | [] -> bad ~path ~line:1 "empty %s" what);
   (match List.rev lines with
   | "end" :: _ -> ()
-  | _ -> bad ~path ~line:(List.length lines) "missing end trailer (truncated manifest)");
-  verify_selfsum path lines;
-  let key = ref None
-  and snapshot = ref None
-  and config = ref []
-  and nvars = ref None
-  and domains = ref []
-  and blocks = ref []
-  and relations = ref []
-  and checksums = ref []
-  and certified = ref None in
-  List.iteri
-    (fun i line ->
-      let line_no = i + 1 in
-      if i > 0 && line <> "end" then
-        match split_ws line with
-        | [ "key"; k ] -> key := Some k
-        | [ "snapshot"; n ] -> snapshot := Some (int_field ~line:line_no "snapshot" n)
-        | "config" :: k :: _ ->
-          (* The value is everything after the key, spaces included. *)
-          let prefix = "config " ^ k ^ " " in
-          let v =
-            if String.length line >= String.length prefix then
-              String.sub line (String.length prefix) (String.length line - String.length prefix)
-            else ""
-          in
-          config := (k, v) :: !config
-        | [ "nvars"; n ] -> nvars := Some (int_field ~line:line_no "nvars" n)
-        | [ "domain"; name; size; mapped ] ->
-          domains := (name, int_field ~line:line_no "domain size" size, mapped = "1") :: !domains
-        | "block" :: dname :: inst :: bits ->
-          blocks :=
-            (dname, int_field ~line:line_no "instance" inst,
-             Array.of_list (List.map (int_field ~line:line_no "bit") bits))
-            :: !blocks
-        | "relation" :: rname :: attrs ->
-          let parse_attr spec =
-            match String.split_on_char ':' spec with
-            | [ a; d; inst ] -> (a, d, int_field ~line:line_no "attr instance" inst)
-            | _ -> bad ~path ~line:line_no "malformed attribute spec %s" spec
-          in
-          relations := (rname, List.map parse_attr attrs) :: !relations
-        | [ "checksum"; file; size; crc ] -> (
-          match Crc32.of_hex crc with
-          | Some c -> checksums := (file, int_field ~line:line_no "checksum size" size, c) :: !checksums
-          | None -> bad ~path ~line:line_no "malformed checksum value %s" crc)
-        | [ "certified"; k; s ] -> certified := Some (k, int_field ~line:line_no "certified snapshot" s)
-        | [ "selfsum"; _ ] -> () (* verified up front by [verify_selfsum] *)
-        | _ -> bad ~path ~line:line_no "unrecognized manifest line: %s" line)
-    lines;
-  let require what = function
-    | Some v -> v
-    | None -> bad ~path ~line:0 "manifest is missing its %s line" what
-  in
-  {
-    m_key = require "key" !key;
-    m_snapshot = require "snapshot" !snapshot;
-    m_config = List.rev !config;
-    m_nvars = require "nvars" !nvars;
-    m_domains = List.rev !domains;
-    m_blocks = List.rev !blocks;
-    m_relations = List.rev !relations;
-    m_checksums = List.rev !checksums;
-    m_certified = !certified;
-  }
-
-let exists ~dir = Sys.file_exists (manifest_path dir)
-
-(* --- Layer manifests and the chain walk --- *)
-
-type layer = {
-  l_index : int;
-  l_key : string; (* content key of the chain up to and including this layer *)
-  l_snapshot : int;
-  l_base_snapshot : int; (* the base save this layer extends *)
-  l_prev_snapshot : int; (* the element directly below (base or layer n-1) *)
-  l_config : (string * string) list;
-  l_nvars : int;
-  l_domains : (string * int * bool) list; (* name, final size, carries replacement map *)
-  l_deltas : string list; (* relation names; dump roots are (added, removed) pairs in this order *)
-  l_checksums : (string * int * int) list;
-}
-
-let parse_layer_manifest path =
-  let lines = read_lines path in
-  let int_field ~line what s =
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> v
-    | Some _ | None -> bad ~path ~line "%s: not a non-negative integer: %s" what s
-  in
-  (match lines with
-  | first :: _ when first = Printf.sprintf "whalelam-layer %d" layer_format_version -> ()
-  | first :: _ -> bad ~path ~line:1 "unsupported layer format: %s" first
-  | [] -> bad ~path ~line:1 "empty layer manifest");
-  (match List.rev lines with
-  | "end" :: _ -> ()
-  | _ -> bad ~path ~line:(List.length lines) "missing end trailer (truncated layer manifest)");
+  | _ -> bad ~path ~line:(List.length lines) "missing end trailer (truncated %s)" what);
   verify_selfsum path lines;
   let index = ref None
   and key = ref None
@@ -494,19 +332,25 @@ let parse_layer_manifest path =
   and config = ref []
   and nvars = ref None
   and domains = ref []
+  and blocks = ref []
+  and relations = ref []
   and deltas = ref []
-  and checksums = ref [] in
+  and checksums = ref []
+  and certified = ref None in
   List.iteri
     (fun i line ->
       let line_no = i + 1 in
+      let int_field what s =
+        match int_of_string_opt s with
+        | Some v when v >= 0 -> v
+        | Some _ | None -> bad ~path ~line:line_no "%s: not a non-negative integer: %s" what s
+      in
       if i > 0 && line <> "end" then
-        match split_ws line with
-        | [ "layer"; n ] -> index := Some (int_field ~line:line_no "layer" n)
-        | [ "key"; k ] -> key := Some k
-        | [ "snapshot"; n ] -> snapshot := Some (int_field ~line:line_no "snapshot" n)
-        | [ "base-snapshot"; n ] -> base_snapshot := Some (int_field ~line:line_no "base-snapshot" n)
-        | [ "prev-snapshot"; n ] -> prev_snapshot := Some (int_field ~line:line_no "prev-snapshot" n)
-        | "config" :: k :: _ ->
+        match (split_ws line, layer) with
+        | [ "key"; k ], _ -> key := Some k
+        | [ "snapshot"; n ], _ -> snapshot := Some (int_field "snapshot" n)
+        | "config" :: k :: _, _ ->
+          (* The value is everything after the key, spaces included. *)
           let prefix = "config " ^ k ^ " " in
           let v =
             if String.length line >= String.length prefix then
@@ -514,33 +358,157 @@ let parse_layer_manifest path =
             else ""
           in
           config := (k, v) :: !config
-        | [ "nvars"; n ] -> nvars := Some (int_field ~line:line_no "nvars" n)
-        | [ "domain"; name; size; mapped ] ->
-          domains := (name, int_field ~line:line_no "domain size" size, mapped = "1") :: !domains
-        | [ "delta"; rname ] -> deltas := rname :: !deltas
-        | [ "checksum"; file; size; crc ] -> (
+        | [ "nvars"; n ], _ -> nvars := Some (int_field "nvars" n)
+        | [ "domain"; name; size; mapped ], _ ->
+          domains := (name, int_field "domain size" size, mapped = "1") :: !domains
+        | [ "checksum"; file; size; crc ], _ -> (
           match Crc32.of_hex crc with
-          | Some c -> checksums := (file, int_field ~line:line_no "checksum size" size, c) :: !checksums
+          | Some c -> checksums := (file, int_field "checksum size" size, c) :: !checksums
           | None -> bad ~path ~line:line_no "malformed checksum value %s" crc)
-        | [ "selfsum"; _ ] -> ()
-        | _ -> bad ~path ~line:line_no "unrecognized layer manifest line: %s" line)
+        | [ "selfsum"; _ ], _ -> () (* verified up front by [verify_selfsum] *)
+        | "block" :: dname :: inst :: bits, false ->
+          blocks := (dname, int_field "instance" inst, Array.of_list (List.map (int_field "bit") bits)) :: !blocks
+        | "relation" :: rname :: attrs, false ->
+          let parse_attr spec =
+            match String.split_on_char ':' spec with
+            | [ a; d; inst ] -> (a, d, int_field "attr instance" inst)
+            | _ -> bad ~path ~line:line_no "malformed attribute spec %s" spec
+          in
+          relations := (rname, List.map parse_attr attrs) :: !relations
+        | [ "certified"; k; s ], false -> certified := Some (k, int_field "certified snapshot" s)
+        | [ "layer"; n ], true -> index := Some (int_field "layer" n)
+        | [ "base-snapshot"; n ], true -> base_snapshot := Some (int_field "base-snapshot" n)
+        | [ "prev-snapshot"; n ], true -> prev_snapshot := Some (int_field "prev-snapshot" n)
+        | [ "delta"; rname ], true -> deltas := rname :: !deltas
+        | _ -> bad ~path ~line:line_no "unrecognized %s line: %s" what line)
     lines;
-  let require what = function
+  let require name = function
     | Some v -> v
-    | None -> bad ~path ~line:0 "layer manifest is missing its %s line" what
+    | None -> bad ~path ~line:0 "%s is missing its %s line" what name
   in
+  let layer_only name v = if layer then require name v else 0 in
   {
-    l_index = require "layer" !index;
-    l_key = require "key" !key;
-    l_snapshot = require "snapshot" !snapshot;
-    l_base_snapshot = require "base-snapshot" !base_snapshot;
-    l_prev_snapshot = require "prev-snapshot" !prev_snapshot;
-    l_config = List.rev !config;
-    l_nvars = require "nvars" !nvars;
-    l_domains = List.rev !domains;
-    l_deltas = List.rev !deltas;
-    l_checksums = List.rev !checksums;
+    m_index = layer_only "layer" !index;
+    m_key = require "key" !key;
+    m_snapshot = require "snapshot" !snapshot;
+    m_base_snapshot = layer_only "base-snapshot" !base_snapshot;
+    m_prev_snapshot = layer_only "prev-snapshot" !prev_snapshot;
+    m_config = List.rev !config;
+    m_nvars = require "nvars" !nvars;
+    m_domains = List.rev !domains;
+    m_blocks = List.rev !blocks;
+    m_relations = List.rev !relations;
+    m_deltas = List.rev !deltas;
+    m_checksums = List.rev !checksums;
+    m_certified = !certified;
   }
+
+(* --- Writing a chain element --- *)
+
+let check_config caller config =
+  List.iter
+    (fun (k, v) ->
+      check_name "config" k;
+      if String.contains v '\n' then invalid_arg (Printf.sprintf "Store.%s: config value contains newline" caller))
+    config
+
+(* Element-name maps of the mapped domains, one name per line.  Every
+   data file is rendered up front so the checksums the manifest
+   records are over the exact bytes written. *)
+let render_maps doms =
+  List.filter_map
+    (fun d ->
+      Option.map
+        (fun names ->
+          let b = Buffer.create 1024 in
+          for i = 0 to Domain.size d - 1 do
+            Buffer.add_string b names.(i);
+            Buffer.add_char b '\n'
+          done;
+          (Domain.name d, Buffer.contents b))
+        (Domain.element_names d))
+    doms
+
+let space_blocks space =
+  List.concat_map
+    (fun d ->
+      List.map (fun (b : Space.block) -> (Domain.name d, b.Space.instance, b.Space.bits)) (Space.instances space d))
+    (Space.domains space)
+
+(* Commit one chain element [m] (the base when [m.m_index = 0]) with
+   its [maps] and BDD [dump], filling in its snapshot and checksums.
+
+   The snapshot is a monotonic per-directory save counter: the
+   follower swap protocol distinguishes "same key, re-saved" (snapshot
+   bumps) from "nothing changed" (identical key and snapshot).  It is
+   allocated from the dedicated serial file (max'd against the base
+   manifest for stores predating it, and against [floor]) and committed
+   durably first — before a base save invalidates the old manifest —
+   so a save torn at any later crash point cannot make the counter go
+   backwards.  Then, base only, the old manifest is removed and the
+   removal made durable: a crash after this point must read as "no
+   store", never as the old manifest over new data files.  Then the
+   maps, the dump, and last the manifest: its rename is the commit
+   point of the element. *)
+let commit dir ~floor ~maps ~dump m =
+  let n = m.m_index in
+  let snapshot =
+    1
+    + List.fold_left
+        (fun acc o -> match o with Some s -> max acc s | None -> acc)
+        floor
+        [ read_serial (serial_path dir); scan_snapshot (manifest_path dir) ]
+  in
+  let checksums =
+    (bdd_file n, String.length dump, Crc32.string dump)
+    :: List.map (fun (dn, content) -> (map_file n dn, String.length content, Crc32.string content)) maps
+  in
+  mkdir_p (subdir dir);
+  write_atomic (serial_path dir) (string_of_int snapshot ^ "\n");
+  let mpath = store_path dir (manifest_file n) in
+  if n = 0 && Sys.file_exists mpath then begin
+    Faults.fs_op ("remove " ^ mpath);
+    (try Sys.remove mpath with Sys_error _ -> ());
+    Faults.fs_op ("fsync-dir " ^ subdir dir);
+    fsync_dir (subdir dir)
+  end;
+  List.iter (fun (dn, content) -> write_atomic (store_path dir (map_file n dn)) content) maps;
+  write_atomic (store_path dir (bdd_file n)) dump;
+  write_atomic mpath (render { m with m_snapshot = snapshot; m_checksums = checksums })
+
+let save ~dir ~key ~config ~space ~relations =
+  List.iter
+    (fun r ->
+      check_name "relation" (Relation.name r);
+      if Relation.space r != space then invalid_arg "Store.save: relation from a different space")
+    relations;
+  let names = List.map Relation.name relations in
+  if List.length (List.sort_uniq compare names) <> List.length names then
+    invalid_arg "Store.save: duplicate relation names";
+  check_config "save" config;
+  let doms = Space.domains space in
+  List.iter (fun d -> check_name "domain" (Domain.name d)) doms;
+  let attr_spec (a : Relation.attr) =
+    (a.Relation.attr_name, Domain.name a.Relation.block.Space.dom, a.Relation.block.Space.instance)
+  in
+  commit dir ~floor:0 ~maps:(render_maps doms)
+    ~dump:(Bdd.serialize (Space.man space) (List.map Relation.bdd relations))
+    {
+      empty with
+      m_key = key;
+      m_config = config;
+      m_nvars = Space.num_vars space;
+      m_domains = List.map (fun d -> (Domain.name d, Domain.size d, Domain.element_names d <> None)) doms;
+      m_blocks = space_blocks space;
+      m_relations = List.map (fun r -> (Relation.name r, List.map attr_spec (Relation.attrs r))) relations;
+    };
+  (* The new base orphans any delta chain the directory carried (its
+     layers name the previous base's snapshot); reclaim the files. *)
+  remove_layer_files dir
+
+let exists ~dir = Sys.file_exists (manifest_path dir)
+
+(* --- The chain walk --- *)
 
 (* Walk the committed chain above a base manifest.  The walk stops
    cleanly at the first missing layer manifest (a torn [save_delta]
@@ -553,72 +521,67 @@ let parse_layer_manifest path =
    shorter chain. *)
 let read_chain dir (m : manifest) =
   let rec go n prev acc =
-    let path = layer_manifest_path dir n in
+    let path = store_path dir (manifest_file n) in
     if not (Sys.file_exists path) then (List.rev acc, None)
     else
-      match parse_layer_manifest path with
+      match parse_manifest ~layer:true path with
       | exception Solver_error.Error e -> (List.rev acc, Some (n, Solver_error.to_string e))
       | l ->
-        if l.l_base_snapshot <> m.m_snapshot then (List.rev acc, None) (* orphan: ignore *)
-        else if l.l_index <> n then
-          (List.rev acc, Some (n, Printf.sprintf "%s: layer line says %d, file name says %d" path l.l_index n))
-        else if l.l_prev_snapshot <> prev then
+        if l.m_base_snapshot <> m.m_snapshot then (List.rev acc, None) (* orphan: ignore *)
+        else if l.m_index <> n then
+          (List.rev acc, Some (n, Printf.sprintf "%s: layer line says %d, file name says %d" path l.m_index n))
+        else if l.m_prev_snapshot <> prev then
           ( List.rev acc,
             Some
               ( n,
                 Printf.sprintf "%s: prev-snapshot %d does not match the element below (snapshot %d)" path
-                  l.l_prev_snapshot prev ) )
-        else go (n + 1) l.l_snapshot (l :: acc)
+                  l.m_prev_snapshot prev ) )
+        else go (n + 1) l.m_snapshot (l :: acc)
   in
   go 1 m.m_snapshot []
 
-(* The identity and config of the chain tip: the last committed layer,
-   or the base itself when there is none. *)
-let tip_of_chain (m : manifest) layers =
-  match List.rev layers with
-  | [] -> (m.m_key, m.m_snapshot, m.m_config)
-  | l :: _ -> (l.l_key, l.l_snapshot, l.l_config)
+(* The base manifest and its committed layers, or a [Bad_input] when
+   there is no store or the chain is broken ([broken] says what the
+   caller could not do with it). *)
+let open_chain ~broken dir =
+  let mpath = manifest_path dir in
+  if not (Sys.file_exists mpath) then bad ~path:mpath ~line:0 "no store at %s" dir;
+  let m = parse_manifest ~layer:false mpath in
+  match read_chain dir m with
+  | layers, None -> (m, layers)
+  | _, Some (n, msg) -> bad ~path:(store_path dir (manifest_file n)) ~line:0 "%s: %s" broken msg
 
-let read_key ~dir =
-  if not (exists ~dir) then None
-  else
-    match parse_manifest (manifest_path dir) with
-    | m -> (
-      match read_chain dir m with
-      | _, Some _ -> None
-      | layers, None ->
-        let k, _, _ = tip_of_chain m layers in
-        Some k)
-    | exception Solver_error.Error _ -> None
+(* The chain tip: the last committed layer, or the base itself when
+   there is none.  Its key, snapshot and config describe the store. *)
+let tip (m, layers) = match List.rev layers with [] -> m | l :: _ -> l
+
+(* The element whose map file holds domain [name]'s element names: the
+   topmost layer carrying a replacement map, else the base. *)
+let map_provider (m, layers) name =
+  let carries e = List.exists (fun (n, _, mapped) -> n = name && mapped) e.m_domains in
+  match List.find_opt carries (List.rev layers) with Some l -> l | None -> m
+
+(* The cheap readers parse manifests only, and read as [None] when
+   there is no complete, well-formed store or its chain is corrupt
+   (not merely torn).  Chain-aware: a base that has since been
+   extended by [save_delta] can never masquerade as current. *)
+let read_chain_opt ~dir f =
+  match open_chain ~broken:"broken delta chain" dir with
+  | chain -> Some (f chain)
+  | exception Solver_error.Error _ -> None
+
+let read_key ~dir = read_chain_opt ~dir (fun chain -> (tip chain).m_key)
 
 (* The (key, snapshot) pair is the identity followers watch: equal
-   pairs mean the same committed chain tip.  Chain-aware, so a base
-   that has since been extended by [save_delta] can never masquerade
-   as current: the tip's key and snapshot are returned, and a corrupt
-   (not merely torn) chain reads as no identity at all. *)
+   pairs mean the same committed chain tip. *)
 let read_ident ~dir =
-  if not (exists ~dir) then None
-  else
-    match parse_manifest (manifest_path dir) with
-    | m -> (
-      match read_chain dir m with
-      | _, Some _ -> None
-      | layers, None ->
-        let k, s, _ = tip_of_chain m layers in
-        Some (k, s))
-    | exception Solver_error.Error _ -> None
+  read_chain_opt ~dir (fun chain ->
+      let t = tip chain in
+      (t.m_key, t.m_snapshot))
 
 let read_snapshot ~dir = Option.map snd (read_ident ~dir)
-
-let read_layers ~dir =
-  if not (exists ~dir) then None
-  else
-    match parse_manifest (manifest_path dir) with
-    | m -> (
-      match read_chain dir m with
-      | _, Some _ -> None
-      | layers, None -> Some (List.length layers))
-    | exception Solver_error.Error _ -> None
+let read_layers ~dir = read_chain_opt ~dir (fun (_, layers) -> List.length layers)
+let read_certified ~dir = Option.join (read_chain_opt ~dir (fun (m, _) -> m.m_certified))
 
 (* Stat triples (inode, mtime, size) of the base manifest followed by
    every consecutive layer manifest on disk: the cheap
@@ -632,15 +595,12 @@ let tip_stat ~dir =
     | st -> Some (st.Unix.st_ino, st.Unix.st_mtime, st.Unix.st_size)
     | exception Unix.Unix_error _ -> None
   in
-  match stat (manifest_path dir) with
-  | None -> []
-  | Some base ->
-    let rec go n acc =
-      match stat (layer_manifest_path dir n) with
-      | None -> List.rev acc
-      | Some s -> go (n + 1) (s :: acc)
-    in
-    go 1 [ base ]
+  let rec go n acc =
+    match stat (store_path dir (manifest_file n)) with
+    | None -> List.rev acc
+    | Some s -> go (n + 1) (s :: acc)
+  in
+  go 0 []
 
 let read_file path =
   let ic = try open_in_bin path with Sys_error msg -> bad ~path ~line:0 "%s" msg in
@@ -648,13 +608,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Read a data file and verify it against its manifest's recorded size
-   and CRC-32 before a single byte of it is interpreted.  [mpath] is
-   the manifest (base or layer) whose [checksums] vouch for the file. *)
-let verified_read_in ~mpath ~checksums dir file =
-  let path = Filename.concat (subdir dir) file in
-  match List.find_opt (fun (f, _, _) -> f = file) checksums with
-  | None -> bad ~path:mpath ~line:0 "no checksum recorded for %s" file
+(* Read a data file and verify it against the recorded size and CRC-32
+   of element [e]'s manifest before a single byte of it is
+   interpreted. *)
+let verified_read dir (e : manifest) file =
+  let path = store_path dir file in
+  match List.find_opt (fun (f, _, _) -> f = file) e.m_checksums with
+  | None -> bad ~path:(store_path dir (manifest_file e.m_index)) ~line:0 "no checksum recorded for %s" file
   | Some (_, size, crc) ->
     let data = read_file path in
     if String.length data <> size then
@@ -666,52 +626,28 @@ let verified_read_in ~mpath ~checksums dir file =
         (Crc32.to_hex crc) (Crc32.to_hex actual);
     data
 
-let verified_read ~mpath m dir file = verified_read_in ~mpath ~checksums:m.m_checksums dir file
-
 let lines_of_string s =
   match List.rev (String.split_on_char '\n' s) with
   | "" :: rest -> List.rev rest (* drop the final newline's empty split *)
   | _ -> String.split_on_char '\n' s
 
-let load_with ?page_bits ?mem_cap_bytes ~dir () =
+let load_with ?mem_cap_bytes ~dir () =
+  let ((m, layers) as chain) = open_chain ~broken:"broken delta chain" dir in
   let mpath = manifest_path dir in
-  if not (Sys.file_exists mpath) then bad ~path:mpath ~line:0 "no store at %s" dir;
-  let m = parse_manifest mpath in
-  let layers =
-    match read_chain dir m with
-    | layers, None -> layers
-    | _, Some (n, msg) -> bad ~path:(layer_manifest_path dir n) ~line:0 "broken delta chain: %s" msg
-  in
-  let tip_key, tip_snapshot, tip_config = tip_of_chain m layers in
+  let t = tip chain in
   (* Domains are created at their {e final} sizes (the tip's domain
-     lines), and each mapped domain's element names come from the
-     {e latest} element that carries a replacement map — the base, or
-     the topmost layer whose edit grew or renamed the domain. *)
+     lines), and each mapped domain's element names come from its map
+     provider — the base, or the topmost layer whose edit grew or
+     renamed the domain. *)
   let final_domains =
-    match List.rev layers with
-    | [] -> m.m_domains
-    | top :: _ ->
-      List.map
-        (fun (name, _, base_mapped) ->
-          match List.find_opt (fun (n, _, _) -> n = name) top.l_domains with
-          | Some (_, final_size, _) -> (name, final_size, base_mapped)
-          | None ->
-            bad ~path:(layer_manifest_path dir top.l_index) ~line:0 "layer %d is missing domain %s" top.l_index
-              name)
-        m.m_domains
-  in
-  let map_names name =
-    (* Topmost provider wins. *)
-    let rec from_layers = function
-      | [] -> lines_of_string (verified_read ~mpath m dir (map_file name))
-      | l :: below ->
-        if List.exists (fun (n, _, carries) -> n = name && carries) l.l_domains then
-          lines_of_string
-            (verified_read_in ~mpath:(layer_manifest_path dir l.l_index) ~checksums:l.l_checksums dir
-               (layer_map_file l.l_index name))
-        else from_layers below
-    in
-    from_layers (List.rev layers)
+    List.map
+      (fun (name, _, mapped) ->
+        match List.find_opt (fun (n, _, _) -> n = name) t.m_domains with
+        | Some (_, final_size, _) -> (name, final_size, mapped)
+        | None ->
+          bad ~path:(store_path dir (manifest_file t.m_index)) ~line:0 "layer %d is missing domain %s" t.m_index
+            name)
+      m.m_domains
   in
   (* A capped load spills under the store's own directory (the scratch
      file is lazily created, not in the manifest, and ignored by
@@ -720,17 +656,19 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
      reclaim scratch files that earlier, since-killed processes never
      disposed, without ever touching a live concurrent loader's. *)
   ignore (Bdd.sweep_stale_spills ~dir:(subdir dir) ());
-  let spill = Filename.concat (subdir dir) (Printf.sprintf "arena.%d.spill" (Unix.getpid ())) in
-  let space = Space.create ?page_bits ?mem_cap_bytes ~spill_path:spill () in
+  let spill = store_path dir (Printf.sprintf "arena.%d.spill" (Unix.getpid ())) in
+  let space = Space.create ?mem_cap_bytes ~spill_path:spill () in
   let domains =
     List.map
       (fun (name, size, mapped) ->
         let element_names =
           if not mapped then None
           else begin
-            let names = Array.of_list (map_names name) in
+            let p = map_provider chain name in
+            let file = map_file p.m_index name in
+            let names = Array.of_list (lines_of_string (verified_read dir p file)) in
             if Array.length names < size then
-              bad ~path:(map_path dir name) ~line:(Array.length names) "map has %d entries, domain %s needs %d"
+              bad ~path:(store_path dir file) ~line:(Array.length names) "map has %d entries, domain %s needs %d"
                 (Array.length names) name size;
             Some names
           end
@@ -755,7 +693,7 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
     m.m_blocks;
   if Space.num_vars space > m.m_nvars then
     bad ~path:mpath ~line:0 "blocks use %d variables but nvars says %d" (Space.num_vars space) m.m_nvars;
-  Bdd.extend_vars (Space.man space) (List.fold_left (fun acc l -> max acc l.l_nvars) m.m_nvars layers);
+  Bdd.extend_vars (Space.man space) (List.fold_left (fun acc l -> max acc l.m_nvars) m.m_nvars layers);
   let rels =
     List.map
       (fun (rname, attr_specs) ->
@@ -770,8 +708,8 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
         (rname, Relation.make space ~name:rname attrs))
       m.m_relations
   in
-  let bpath = bdd_path dir in
-  let roots = Bdd.deserialize ~source:bpath (Space.man space) (verified_read ~mpath m dir bdd_file) in
+  let bpath = store_path dir (bdd_file 0) in
+  let roots = Bdd.deserialize ~source:bpath (Space.man space) (verified_read dir m (bdd_file 0)) in
   if List.length roots <> List.length rels then
     bad ~path:bpath ~line:0 "dump has %d roots, manifest lists %d relations" (List.length roots)
       (List.length rels);
@@ -781,68 +719,51 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
   let man = Space.man space in
   List.iter
     (fun l ->
-      let lmpath = layer_manifest_path dir l.l_index in
-      let data = verified_read_in ~mpath:lmpath ~checksums:l.l_checksums dir (layer_bdd_file l.l_index) in
-      let lpath = Filename.concat (subdir dir) (layer_bdd_file l.l_index) in
-      let roots = Bdd.deserialize ~source:lpath man data in
-      if List.length roots <> 2 * List.length l.l_deltas then
+      let lmpath = store_path dir (manifest_file l.m_index) in
+      let lpath = store_path dir (bdd_file l.m_index) in
+      let roots = Bdd.deserialize ~source:lpath man (verified_read dir l (bdd_file l.m_index)) in
+      if List.length roots <> 2 * List.length l.m_deltas then
         bad ~path:lpath ~line:0 "layer dump has %d roots, manifest lists %d delta relations" (List.length roots)
-          (List.length l.l_deltas);
+          (List.length l.m_deltas);
       let rec fold names roots =
         match (names, roots) with
         | [], [] -> ()
         | name :: names, added :: removed :: roots ->
           (match List.assoc_opt name rels with
-          | None -> bad ~path:lmpath ~line:0 "layer %d: delta for unknown relation %s" l.l_index name
+          | None -> bad ~path:lmpath ~line:0 "layer %d: delta for unknown relation %s" l.m_index name
           | Some r -> Relation.set_bdd r (Bdd.mk_or man (Bdd.mk_diff man (Relation.bdd r) removed) added));
           fold names roots
-        | _ -> bad ~path:lpath ~line:0 "layer %d: root/delta count mismatch" l.l_index
+        | _ -> bad ~path:lpath ~line:0 "layer %d: root/delta count mismatch" l.m_index
       in
-      fold l.l_deltas roots)
+      fold l.m_deltas roots)
     layers;
   {
-    st_key = tip_key;
-    st_snapshot = tip_snapshot;
-    st_config = tip_config;
+    st_key = t.m_key;
+    st_snapshot = t.m_snapshot;
+    st_config = t.m_config;
     st_space = space;
     st_domains = domains;
     st_rels = rels;
     st_layers = List.length layers;
   }
 
-(* --- Delta layers: append and squash --- *)
-
 let load ~dir = load_with ~dir ()
 
-(* Append one delta layer to the chain at [dir].  The layer is
-   committed exactly like a base save: serial first (so the snapshot
-   counter survives any tear), data files next, the layer manifest
-   last — its rename is the commit point, and a crash anywhere earlier
-   leaves the previous chain tip serving unchanged. *)
+(* --- Delta layers: append and squash --- *)
+
+(* Append one delta layer to the chain at [dir], committed exactly
+   like a base save (see [commit]): a crash anywhere before the layer
+   manifest's rename leaves the previous chain tip serving unchanged. *)
 let save_delta ~dir ~key ~config ~space ~deltas =
-  let mpath = manifest_path dir in
-  if not (Sys.file_exists mpath) then
-    invalid_arg (Printf.sprintf "Store.save_delta: no base store at %s" dir);
-  let m = parse_manifest mpath in
-  let layers =
-    match read_chain dir m with
-    | layers, None -> layers
-    | _, Some (n, msg) ->
-      bad ~path:(layer_manifest_path dir n) ~line:0 "cannot append to a broken delta chain: %s" msg
-  in
+  if not (exists ~dir) then invalid_arg (Printf.sprintf "Store.save_delta: no base store at %s" dir);
+  let ((m, layers) as chain) = open_chain ~broken:"cannot append to a broken delta chain" dir in
   (* The layer's BDDs only mean anything under the base's variable
      layout; refuse to append across a layout change. *)
-  let doms = Space.domains space in
-  let space_blocks =
-    List.concat_map
-      (fun d ->
-        List.map (fun (b : Space.block) -> (Domain.name d, b.Space.instance, b.Space.bits)) (Space.instances space d))
-      doms
-  in
   let block_eq (n1, i1, b1) (n2, i2, b2) = n1 = n2 && i1 = i2 && b1 = b2 in
+  let blocks = space_blocks space in
   if
-    List.length space_blocks <> List.length m.m_blocks
-    || not (List.for_all (fun sb -> List.exists (block_eq sb) m.m_blocks) space_blocks)
+    List.length blocks <> List.length m.m_blocks
+    || not (List.for_all (fun sb -> List.exists (block_eq sb) m.m_blocks) blocks)
   then invalid_arg "Store.save_delta: variable layout differs from the base store (cold save required)";
   List.iter
     (fun (name, _, _) ->
@@ -850,93 +771,38 @@ let save_delta ~dir ~key ~config ~space ~deltas =
       if not (List.mem_assoc name m.m_relations) then
         invalid_arg (Printf.sprintf "Store.save_delta: relation %s is not in the base store" name))
     deltas;
-  List.iter
-    (fun (k, v) ->
-      check_name "config" k;
-      if String.contains v '\n' then invalid_arg "Store.save_delta: config value contains newline")
-    config;
-  let n = List.length layers + 1 in
+  check_config "save_delta" config;
   (* Element-name maps: a layer carries a replacement map for a domain
      only when the rendered content differs from what the chain below
-     already provides (detected by CRC against the latest provider's
+     already provides (detected by CRC against the map provider's
      recorded checksum) — growth or renames write a full new map,
      untouched domains write nothing. *)
-  let current_map_crc name =
-    let rec from_layers = function
-      | [] ->
-        List.find_map
-          (fun (f, _, crc) -> if f = map_file name then Some crc else None)
-          m.m_checksums
-      | l :: below ->
-        if List.exists (fun (dn, _, carries) -> dn = name && carries) l.l_domains then
-          List.find_map
-            (fun (f, _, crc) -> if f = layer_map_file l.l_index name then Some crc else None)
-            l.l_checksums
-        else from_layers below
-    in
-    from_layers (List.rev layers)
-  in
   let maps =
-    List.filter_map
-      (fun d ->
-        match Domain.element_names d with
-        | None -> None
-        | Some names ->
-          let b = Buffer.create 1024 in
-          for i = 0 to Domain.size d - 1 do
-            Buffer.add_string b names.(i);
-            Buffer.add_char b '\n'
-          done;
-          let content = Buffer.contents b in
-          if current_map_crc (Domain.name d) = Some (Crc32.string content) then None
-          else Some (Domain.name d, content))
-      doms
+    List.filter
+      (fun (name, content) ->
+        let p = map_provider chain name in
+        List.find_map (fun (f, _, crc) -> if f = map_file p.m_index name then Some crc else None) p.m_checksums
+        <> Some (Crc32.string content))
+      (render_maps (Space.domains space))
   in
-  let dump = Bdd.serialize (Space.man space) (List.concat_map (fun (_, a, r) -> [ a; r ]) deltas) in
-  let checksums =
-    (layer_bdd_file n, String.length dump, Crc32.string dump)
-    :: List.map (fun (dn, content) -> (layer_map_file n dn, String.length content, Crc32.string content)) maps
-  in
-  let prev_snapshot =
-    match List.rev layers with [] -> m.m_snapshot | l :: _ -> l.l_snapshot
-  in
-  let snapshot =
-    let prev =
-      List.fold_left
-        (fun acc o -> match o with Some x -> max acc x | None -> acc)
-        prev_snapshot
-        [ read_serial (serial_path dir); scan_snapshot mpath ]
-    in
-    prev + 1
-  in
-  write_atomic (serial_path dir) (string_of_int snapshot ^ "\n");
-  let manifest =
-    let b = Buffer.create 1024 in
-    Printf.bprintf b "whalelam-layer %d\n" layer_format_version;
-    Printf.bprintf b "layer %d\n" n;
-    Printf.bprintf b "key %s\n" key;
-    Printf.bprintf b "snapshot %d\n" snapshot;
-    Printf.bprintf b "base-snapshot %d\n" m.m_snapshot;
-    Printf.bprintf b "prev-snapshot %d\n" prev_snapshot;
-    List.iter (fun (k, v) -> Printf.bprintf b "config %s %s\n" k v) config;
-    Printf.bprintf b "nvars %d\n" (Space.num_vars space);
-    List.iter
-      (fun d ->
-        Printf.bprintf b "domain %s %d %d\n" (Domain.name d) (Domain.size d)
-          (if List.mem_assoc (Domain.name d) maps then 1 else 0))
-      doms;
-    List.iter (fun (name, _, _) -> Printf.bprintf b "delta %s\n" name) deltas;
-    List.iter
-      (fun (file, size, crc) -> Printf.bprintf b "checksum %s %d %s\n" file size (Crc32.to_hex crc))
-      checksums;
-    Printf.bprintf b "selfsum %s\n" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
-    Buffer.add_string b "end\n";
-    Buffer.contents b
-  in
-  List.iter (fun (dn, content) -> write_atomic (Filename.concat (subdir dir) (layer_map_file n dn)) content) maps;
-  write_atomic (Filename.concat (subdir dir) (layer_bdd_file n)) dump;
-  (* Layer manifest written last = the commit point of the layer. *)
-  write_atomic (layer_manifest_path dir n) manifest;
+  let n = List.length layers + 1 in
+  let prev = (tip chain).m_snapshot in
+  commit dir ~floor:prev ~maps
+    ~dump:(Bdd.serialize (Space.man space) (List.concat_map (fun (_, a, r) -> [ a; r ]) deltas))
+    {
+      empty with
+      m_index = n;
+      m_key = key;
+      m_base_snapshot = m.m_snapshot;
+      m_prev_snapshot = prev;
+      m_config = config;
+      m_nvars = Space.num_vars space;
+      m_domains =
+        List.map
+          (fun d -> (Domain.name d, Domain.size d, List.mem_assoc (Domain.name d) maps))
+          (Space.domains space);
+      m_deltas = List.map (fun (name, _, _) -> name) deltas;
+    };
   n
 
 (* Squash the chain back to a single base (LSM compaction): load the
@@ -963,42 +829,10 @@ let compact ~dir =
    past the recorded one, and [save]/[compact] rewrite the manifest
    without the line.  Returns the recorded pair. *)
 let mark_certified ~dir =
-  let mpath = manifest_path dir in
-  if not (Sys.file_exists mpath) then bad ~path:mpath ~line:0 "no store at %s" dir;
-  let m = parse_manifest mpath in
-  let layers =
-    match read_chain dir m with
-    | layers, None -> layers
-    | _, Some (n, msg) ->
-      bad ~path:(layer_manifest_path dir n) ~line:0 "cannot certify a broken delta chain: %s" msg
-  in
-  let tip_key, tip_snapshot, _ = tip_of_chain m layers in
-  let body =
-    List.filter
-      (fun l ->
-        match split_ws l with
-        | "certified" :: _ | "selfsum" :: _ | [ "end" ] -> false
-        | _ -> true)
-      (read_lines mpath)
-  in
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun l ->
-      Buffer.add_string b l;
-      Buffer.add_char b '\n')
-    body;
-  Printf.bprintf b "certified %s %d\n" tip_key tip_snapshot;
-  Printf.bprintf b "selfsum %s\n" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
-  Buffer.add_string b "end\n";
-  write_atomic mpath (Buffer.contents b);
-  (tip_key, tip_snapshot)
-
-let read_certified ~dir =
-  if not (exists ~dir) then None
-  else
-    match parse_manifest (manifest_path dir) with
-    | m -> m.m_certified
-    | exception Solver_error.Error _ -> None
+  let ((m, _) as chain) = open_chain ~broken:"cannot certify a broken delta chain" dir in
+  let t = tip chain in
+  write_atomic (manifest_path dir) (render { m with m_certified = Some (t.m_key, t.m_snapshot) });
+  (t.m_key, t.m_snapshot)
 
 (* Test-only semantic corruption: delete the first tuple of [relation]
    (or insert an all-zeros tuple when it is empty) and re-save the
@@ -1043,18 +877,23 @@ let verify ?(structural = true) ~dir () =
   let mpath = manifest_path dir in
   if not (Sys.file_exists mpath) then push "manifest" false (Printf.sprintf "no store at %s" dir)
   else begin
-    (match parse_manifest mpath with
+    (match parse_manifest ~layer:false mpath with
     | exception Solver_error.Error e -> push "manifest" false (Solver_error.to_string e)
     | m ->
+      let check_files e =
+        List.iter
+          (fun (file, _, _) ->
+            match verified_read dir e file with
+            | exception Solver_error.Error e -> push file false (Solver_error.to_string e)
+            | data ->
+              push file true
+                (Printf.sprintf "crc32 %s, %d bytes" (Crc32.to_hex (Crc32.string data)) (String.length data)))
+          e.m_checksums
+      in
       push "manifest" true
         (Printf.sprintf "key %s, %d relations, %d checksummed files" m.m_key (List.length m.m_relations)
            (List.length m.m_checksums));
-      List.iter
-        (fun (file, _, _) ->
-          match verified_read ~mpath m dir file with
-          | exception Solver_error.Error e -> push file false (Solver_error.to_string e)
-          | data -> push file true (Printf.sprintf "crc32 %s, %d bytes" (Crc32.to_hex (Crc32.string data)) (String.length data)))
-        m.m_checksums;
+      check_files m;
       (* Walk the delta chain: per-layer parse + selfsum, link
          validity, and per-layer data-file checksums.  A broken layer
          condemns only the tail from that index up — the base (and any
@@ -1065,23 +904,13 @@ let verify ?(structural = true) ~dir () =
       let layers, chain_err = read_chain dir m in
       List.iter
         (fun l ->
-          let name = layer_manifest_file l.l_index in
-          push name true
-            (Printf.sprintf "key %s, snapshot %d, %d delta relations" l.l_key l.l_snapshot
-               (List.length l.l_deltas));
-          List.iter
-            (fun (file, _, _) ->
-              match
-                verified_read_in ~mpath:(layer_manifest_path dir l.l_index) ~checksums:l.l_checksums dir file
-              with
-              | exception Solver_error.Error e -> push file false (Solver_error.to_string e)
-              | data ->
-                push file true
-                  (Printf.sprintf "crc32 %s, %d bytes" (Crc32.to_hex (Crc32.string data)) (String.length data)))
-            l.l_checksums)
+          push (manifest_file l.m_index) true
+            (Printf.sprintf "key %s, snapshot %d, %d delta relations" l.m_key l.m_snapshot
+               (List.length l.m_deltas));
+          check_files l)
         layers;
       (match chain_err with
-      | Some (n, msg) -> push (layer_manifest_file n) false msg
+      | Some (n, msg) -> push (manifest_file n) false msg
       | None -> ());
       (* Anything with a layer index beyond the valid chain that is
          not condemned above is orphaned/uncommitted debris. *)

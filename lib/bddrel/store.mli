@@ -12,6 +12,8 @@
     dir/store/manifest        versioned text manifest (written last)
     dir/store/relations.bdd   shared-DAG dump, one root per relation
     dir/store/<dom>.map       element names, one per line (optional)
+    dir/store/serial          the snapshot counter
+    dir/store/layer.<n>.*     delta layer n: manifest, bdd, <dom>.map
     v}
 
     The manifest carries a [key]: a content hash of the analysis
@@ -138,9 +140,9 @@ val load : dir:string -> t
     [Solver_error.Error (Bad_input _)] on a missing or malformed
     store. *)
 
-val load_with : ?page_bits:int -> ?mem_cap_bytes:int -> dir:string -> unit -> t
-(** {!load} with node-arena knobs: [page_bits]/[mem_cap_bytes]
-    configure the rebuilt space's arena (see {!Space.create}); a
+val load_with : ?mem_cap_bytes:int -> dir:string -> unit -> t
+(** {!load} under a node-arena cap: [mem_cap_bytes] bounds the
+    rebuilt space's resident node pages (see {!Space.create}); a
     capped load spills cold pages to a pid-named scratch file under
     [dir]'s store directory (not manifested — invisible to {!verify},
     debris at worst).  Every load first sweeps scratch files abandoned

@@ -2,7 +2,7 @@
 
    [make] projects the points-to relation once, then freezes the whole
    space: the packed node arrays and unique table become an immutable
-   snapshot ([Space.frozen] / [Relation.frozen]) that any number of
+   snapshot ([Bdd.frozen] / [Relation.frozen]) that any number of
    domains may read concurrently.  Every evaluator takes a [Bdd.ctx] —
    a per-domain operation cache plus allocation arena for query-local
    intermediates — so the hot apply/relprod path does no cross-domain
@@ -12,7 +12,7 @@
 
 type t = {
   store : Store.t;
-  fspace : Space.frozen;
+  fspace : Bdd.frozen;
   fpt : Relation.frozen;  (* "variable", "heap"; context already projected away *)
   frels : (string * Relation.frozen) list;  (* store order *)
   vdom : Domain.t;
@@ -52,17 +52,17 @@ let make store =
         Solver_error.raise_bad_input ~file:"<store>" ~line:0
           "store has neither vPC nor vP: not a solved points-to store")
   in
-  (* Freeze the space first: the compacting GC inside [Space.freeze]
+  (* Freeze the space first: the compacting GC inside [Bdd.freeze]
      renumbers every surviving node and rewrites the relations'
      registered roots in place, so capturing [Relation.freeze] handles
      only afterwards yields handles valid against the snapshot.  After
      the freeze the live manager is never touched again. *)
-  let fspace = Space.freeze (Store.space store) in
+  let fspace = Bdd.freeze (Space.man (Store.space store)) in
   let fpt = Relation.freeze pt_live in
   let frels = List.map (fun r -> (Relation.name r, Relation.freeze r)) (Store.relations store) in
   { store; fspace; fpt; frels; vdom = attr_domain fpt "variable"; hdom = attr_domain fpt "heap" }
 
-let new_ctx t = Space.eval_ctx t.fspace
+let new_ctx t = Bdd.eval_ctx t.fspace
 
 (* --- answers --- *)
 
@@ -282,9 +282,8 @@ let mem_lines t =
     | Some kb -> [ Printf.sprintf "peak-rss-kib %d" kb ]
     | None -> []
   in
-  Printf.sprintf "snapshot-bytes %d" (Space.frozen_bytes t.fspace)
-  :: Printf.sprintf "snapshot-nodes %d"
-       (Bdd.frozen_live_nodes (Space.frozen_bdd t.fspace))
+  Printf.sprintf "snapshot-bytes %d" (Bdd.frozen_bytes t.fspace)
+  :: Printf.sprintf "snapshot-nodes %d" (Bdd.frozen_live_nodes t.fspace)
   :: rss
 
 type served = { outcome : outcome; latency_us : float; close : bool }

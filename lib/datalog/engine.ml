@@ -8,9 +8,7 @@ type options = {
   node_hint : int;
   cache_bits : int;
   budget : Budget.t option;
-  page_bits : int option; (* arena page size override, log2 slots *)
   mem_cap_bytes : int option; (* resident node-page byte cap; spill past it *)
-  spill_path : string option; (* arena spill file (default: temp file) *)
 }
 
 let default_options =
@@ -24,9 +22,7 @@ let default_options =
     node_hint = 1 lsl 16;
     cache_bits = 18;
     budget = None;
-    page_bits = None;
     mem_cap_bytes = None;
-    spill_path = None;
   }
 
 let toggles_of_options o =
@@ -320,8 +316,7 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
       | None -> fail "%s" message)
   in
   let sp =
-    Space.create ~node_hint:options.node_hint ~cache_bits:options.cache_bits ?page_bits:options.page_bits
-      ?mem_cap_bytes:options.mem_cap_bytes ?spill_path:options.spill_path ()
+    Space.create ~node_hint:options.node_hint ~cache_bits:options.cache_bits ?mem_cap_bytes:options.mem_cap_bytes ()
   in
   let t =
     {

@@ -42,16 +42,10 @@ type options = {
           and allocation limits enforced inside [Bdd.mk]) and polled by
           the engine between rule applications (deadline, cancellation)
           and fixpoint rounds (iteration limit) *)
-  page_bits : int option;
-      (** node-arena page size (log2 slots per page) — see
-          {!Bdd.create}; [None] = the arena default *)
   mem_cap_bytes : int option;
       (** cap on resident node-page bytes: past it, cold pages spill to
-          [spill_path] and fault back in on demand; [None] = uncapped
-          (everything resident, no pager overhead) *)
-  spill_path : string option;
-      (** spill file for evicted pages (a driver points this into its
-          store's scratch area); [None] = a fresh temp file *)
+          a fresh temp file and fault back in on demand; [None] =
+          uncapped (everything resident, no pager overhead) *)
 }
 
 val default_options : options

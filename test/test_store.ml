@@ -505,6 +505,114 @@ let test_verify_quarantine () =
   | Some dest2 -> Alcotest.(check bool) "fresh quarantine suffix" true (Filename.check_suffix dest2 ".broken.2")
   | None -> Alcotest.fail "second quarantine refused"
 
+(* --- Golden on-disk format ---------------------------------------------
+   A tiny deterministic store driven through [save], two [save_delta]s
+   (the first grows a mapped domain, so the layer carries a replacement
+   map; the second leaves every map alone), [mark_certified] and
+   [compact].  After each step the transcript records the step's
+   [Faults.fs_op] label sequence (the temp dir spelled <dir>), every
+   store file's name, size and CRC-32, and the full text of every
+   manifest.  A diff against golden/store_format.txt means the on-disk
+   bytes or the write protocol changed; after an intended format
+   change, the failing test prints the transcript to take as the new
+   golden. *)
+
+let golden_space ~d_size =
+  let sp = Space.create () in
+  let bd = Space.alloc sp (named_domain "D" d_size) in
+  let be = Space.alloc sp (Domain.make ~name:"E" ~size:4 ()) in
+  (sp, bd, be)
+
+let golden_rels sp bd be ~r ~s =
+  ( Relation.of_tuples sp ~name:"r" [ { Relation.attr_name = "x"; block = bd } ] (List.map (fun x -> [| x |]) r),
+    Relation.of_tuples sp ~name:"s"
+      [ { Relation.attr_name = "x"; block = bd }; { Relation.attr_name = "y"; block = be } ]
+      (List.map (fun (x, y) -> [| x; y |]) s) )
+
+let golden_delta dir ~key ~d_size ~r_add ~r_remove ~s_add =
+  let sp, bd, be = golden_space ~d_size in
+  let add_r, add_s = golden_rels sp bd be ~r:r_add ~s:s_add in
+  let rem_r, rem_s = golden_rels sp bd be ~r:r_remove ~s:[] in
+  ignore
+    (Store.save_delta ~dir ~key ~config:[ ("gen", "golden"); ("note", "two words") ] ~space:sp
+       ~deltas:
+         [ ("r", Relation.bdd add_r, Relation.bdd rem_r); ("s", Relation.bdd add_s, Relation.bdd rem_s) ])
+
+let store_transcript dir steps =
+  let b = Buffer.create 4096 in
+  let sd = Filename.concat dir "store" in
+  (* Every fs-op label is "<op> <path>"; spell the temp dir <dir>. *)
+  let placeholder op =
+    match String.split_on_char ' ' op with
+    | [ verb; path ] when starts_with dir path ->
+      let n = String.length dir in
+      verb ^ " <dir>" ^ String.sub path n (String.length path - n)
+    | _ -> op
+  in
+  (* Layer cleanup removes files in [Sys.readdir] order, which the
+     file system defines; only its grouping (every manifest before any
+     data file) is part of the protocol.  So each maximal run of
+     consecutive removals of the same kind is recorded sorted. *)
+  let rec normalize ops =
+    let kind op = if starts_with "remove " op then Some (Filename.check_suffix op ".manifest") else None in
+    match ops with
+    | [] -> []
+    | op :: rest when kind op = None -> op :: normalize rest
+    | op :: _ ->
+      let rec split run = function
+        | o :: rest when kind o = kind op -> split (o :: run) rest
+        | rest -> (List.sort compare run, rest)
+      in
+      let run, rest = split [] ops in
+      run @ normalize rest
+  in
+  List.iter
+    (fun (name, step) ->
+      Printf.bprintf b "== %s\n" name;
+      List.iter (fun op -> Printf.bprintf b "op %s\n" (placeholder op)) (normalize (Faults.record_fs_ops step));
+      let files = List.sort compare (Array.to_list (Sys.readdir sd)) in
+      (* MD5 alongside the CRC-32: a self-checksummed BDD dump always
+         has the same CRC-32 residue, so only the digest tells dumps of
+         equal size apart. *)
+      List.iter
+        (fun f ->
+          let data = In_channel.with_open_bin (Filename.concat sd f) In_channel.input_all in
+          Printf.bprintf b "file %s %d %s %s\n" f (String.length data) (Crc32.to_hex (Crc32.string data))
+            (Digest.to_hex (Digest.string data)))
+        files;
+      List.iter
+        (fun f ->
+          if Filename.check_suffix f "manifest" then begin
+            Printf.bprintf b "-- %s\n" f;
+            Buffer.add_string b (In_channel.with_open_bin (Filename.concat sd f) In_channel.input_all)
+          end)
+        files)
+    steps;
+  Buffer.contents b
+
+let test_golden_format () =
+  let dir = tmp_dir "store-golden" in
+  let actual =
+    store_transcript dir
+      [
+        ( "save",
+          fun () ->
+            let sp, bd, be = golden_space ~d_size:6 in
+            let r, s = golden_rels sp bd be ~r:[ 0; 2; 5 ] ~s:[ (1, 0); (4, 3) ] in
+            Store.save ~dir ~key:"g0" ~config:[ ("gen", "golden"); ("note", "two words") ] ~space:sp
+              ~relations:[ r; s ] );
+        ( "save_delta grow D",
+          fun () -> golden_delta dir ~key:"g1" ~d_size:8 ~r_add:[ 6; 7 ] ~r_remove:[ 0 ] ~s_add:[] );
+        ( "save_delta same maps",
+          fun () -> golden_delta dir ~key:"g2" ~d_size:8 ~r_add:[] ~r_remove:[ 2 ] ~s_add:[ (7, 1) ] );
+        ("mark_certified", fun () -> ignore (Store.mark_certified ~dir));
+        ("compact", fun () -> ignore (Store.compact ~dir));
+      ]
+  in
+  let expected = In_channel.with_open_bin (Filename.concat "golden" "store_format.txt") In_channel.input_all in
+  if actual <> expected then
+    Alcotest.failf "store format differs from golden/store_format.txt; actual:\n%s" actual
+
 let () =
   Alcotest.run "store"
     [
@@ -519,6 +627,7 @@ let () =
           Alcotest.test_case "every byte flip in every file is a structured error" `Quick test_byte_flip_fuzz;
           Alcotest.test_case "verify and quarantine" `Quick test_verify_quarantine;
         ] );
+      ("format", [ Alcotest.test_case "golden on-disk bytes and fs-op sequence" `Quick test_golden_format ]);
       ( "replication",
         [
           Alcotest.test_case "load racing a writer: old, new, or structured error" `Quick test_reader_race;
