@@ -357,23 +357,13 @@ let ablations () =
   run_with { d with Engine.greedy_blocks = false } "CS: no attribute naming:";
   run_with { d with Engine.reorder_joins = true } "CS: greedy join reordering:";
   (* Variable (domain) order. *)
+  let order_job = Pta.Order_search.Context_sensitive ctx in
   let order_run label order =
-    let text = Pta.Programs.algo5 fg ~csize:(Context.csize ctx) in
-    let eng = Engine.parse_and_create ~element_names:(Factgen.element_names fg) ?domain_order:order text in
-    List.iter
-      (fun (name, tuples) -> Engine.set_tuples eng name (List.map Array.of_list tuples))
-      (Pta.Programs.input_relations fg);
-    let block_of rel n = (Relation.find_attr rel n).Relation.block in
-    let iec = Engine.relation eng "IEC" in
-    Relation.set_bdd iec
-      (Context.iec_bdd ctx (Engine.space eng) ~caller:(block_of iec "caller") ~invoke:(block_of iec "invoke")
-         ~callee:(block_of iec "callee") ~target:(block_of iec "tgt"));
-    let mc = Engine.relation eng "mC" in
-    Relation.set_bdd mc
-      (Context.mc_bdd ctx (Engine.space eng) ~context:(block_of mc "context") ~target:(block_of mc "method"));
-    let s = Engine.run eng in
+    let s = Engine.run (Pta.Order_search.prepare ~domain_order:order fg order_job) in
     record ~table:"ablations" ~bench:profile.Synth.Profiles.name ~algo:label s;
-    Printf.printf "%-32s %.3fs, %6.0fK peak nodes\n" label s.Engine.solve_seconds (knodes s.Engine.peak_live_nodes)
+    Printf.printf "%-32s %.3fs, %6.0fK peak nodes, %6.0fK op-cache misses\n" label s.Engine.solve_seconds
+      (knodes s.Engine.peak_live_nodes)
+      (knodes (Pta.Order_search.cache_misses s))
   in
   (* §4.2's on-the-fly CS variant over the conservative numbering. *)
   let otf_cs, _ = time_run (fun () -> Analyses.run_cs_otf fg) in
@@ -383,17 +373,20 @@ let ablations () =
     (knodes otf_cs.Analyses.stats.Engine.peak_live_nodes)
     (Analyses.count otf_cs "IECd")
     (Relation.count (Analyses.relation otf_cs "IEC"));
-  order_run "CS: declaration domain order:" None;
-  order_run "CS: reversed domain order:" (Some [ "C"; "Z"; "M"; "N"; "I"; "T"; "F"; "H"; "V" ]);
+  let declared = Pta.Order_search.declaration_order order_job in
+  order_run "CS: declaration domain order:" declared;
+  order_run "CS: committed domain order:" (Pta.Order_search.committed_order order_job);
+  order_run "CS: reversed domain order:" (List.rev declared);
   (* Empirical order search, as bddbddb does automatically. *)
-  let candidates = Pta.Order_search.search ~budget:5 fg (Pta.Order_search.Context_sensitive ctx) in
+  let candidates = Pta.Order_search.search ~budget:5 fg order_job in
   (match (candidates, List.rev candidates) with
   | best :: _, worst :: _ ->
-    Printf.printf "order search (%d candidates):    best  %6.0fK nodes (%s)\n" (List.length candidates)
-      (knodes best.Pta.Order_search.peak_nodes)
-      (String.concat " " best.Pta.Order_search.order);
-    Printf.printf "%-32s worst %6.0fK nodes (%s)\n" "" (knodes worst.Pta.Order_search.peak_nodes)
-      (String.concat " " worst.Pta.Order_search.order)
+    let line which (c : Pta.Order_search.candidate) =
+      Printf.sprintf "%s %6.0fK misses, %6.0fK nodes (%s)" which (knodes c.cache_misses) (knodes c.peak_nodes)
+        (String.concat " " c.order)
+    in
+    Printf.printf "order search (%d candidates):    %s\n" (List.length candidates) (line "best " best);
+    Printf.printf "%-32s %s\n" "" (line "worst" worst)
   | _, _ -> ());
   (* Context-abstraction and precision baselines (§1 unification
      contrast, §1.1 k-CFA contrast). *)

@@ -1502,30 +1502,36 @@ let store_group_cmd =
 (* --- order-search --- *)
 
 let order_search_cmd =
-  let run path budget cs =
+  let run path budget algo =
     let p = or_die (read_program path) in
     let fg = Factgen.extract p in
     let job =
-      if cs then begin
+      match algo with
+      | `Cha -> Pta.Order_search.Basic Analyses.Algo2
+      | `Otf -> Pta.Order_search.Basic Analyses.Algo3
+      | `Cs ->
         let ci = Analyses.run_basic ~algo:Analyses.Algo3 fg in
         Pta.Order_search.Context_sensitive (Analyses.make_context fg ~ie:(Analyses.ie_tuples ci))
-      end
-      else Pta.Order_search.Basic Analyses.Algo2
     in
     let candidates = Pta.Order_search.search ~budget fg job in
-    Printf.printf "%-40s %10s %9s\n" "domain order" "peak nodes" "seconds";
+    Printf.printf "%-40s %12s %10s %9s\n" "domain order" "cache misses" "peak nodes" "seconds";
     List.iter
-      (fun c ->
-        Printf.printf "%-40s %10d %8.3fs\n"
-          (String.concat " " c.Pta.Order_search.order)
-          c.Pta.Order_search.peak_nodes c.Pta.Order_search.seconds)
+      (fun (c : Pta.Order_search.candidate) ->
+        Printf.printf "%-40s %12d %10d %8.3fs\n" (String.concat " " c.order) c.cache_misses c.peak_nodes c.seconds)
       candidates
   in
   let budget = Arg.(value & opt int 6 & info [ "budget" ] ~docv:"N" ~doc:"Number of random orders to try.") in
-  let cs = Arg.(value & flag & info [ "cs" ] ~doc:"Search for Algorithm 5 instead of Algorithm 2.") in
+  let algo =
+    Arg.(
+      value
+      & opt (enum [ ("cha", `Cha); ("otf", `Otf); ("cs", `Cs) ]) `Cha
+      & info [ "algo"; "a" ] ~docv:"ALGO"
+          ~doc:"Program to search orders for: cha (Algorithm 2), otf (Algorithm 3) or cs (Algorithm 5).")
+  in
   Cmd.v
-    (Cmd.info "order-search" ~doc:"Empirically search BDD domain orders (§2.4.2), best first.")
-    Term.(const run $ program_arg $ budget $ cs)
+    (Cmd.info "order-search"
+       ~doc:"Empirically search BDD domain orders (§2.4.2), best first by total op-cache misses.")
+    Term.(const run $ program_arg $ budget $ algo)
 
 (* --- datalog --- *)
 

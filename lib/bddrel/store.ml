@@ -36,14 +36,20 @@ type t = {
    v3: a [snapshot <n>] identity line — a per-directory save counter
    that lets followers (and their routers) tell two saves of the same
    content key apart and assert exactly which snapshot answered.
+   v4: a BDD dump's [checksum] line records the CRC-32 of the dump
+   without its 4-byte CRC trailer.  The CRC-32 of a whole dump is the
+   constant residue of a CRC-terminated message, so under v3 only the
+   size tied a manifest to its dump.  v3 stores are still read.
 
    Independent of the base format, a store may carry a chain of delta
-   layers ([layer.<n>.*] files, format [whalelam-layer 1]): each layer
+   layers ([layer.<n>.*] files, format [whalelam-layer 2]): each layer
    is a self-committed append describing per-relation added/removed
    tuple sets against the state below it.  [load] folds the chain;
-   [save] and [compact] squash it back to a single base. *)
-let format_version = 3
-let layer_format_version = 1
+   [save] and [compact] squash it back to a single base.  Layer
+   format 2 changes dump checksums exactly as base format 4 does;
+   layer format 1 is still read. *)
+let format_version = 4
+let layer_format_version = 2
 
 let subdir dir = Filename.concat dir "store"
 let store_path dir file = Filename.concat (subdir dir) file
@@ -215,6 +221,7 @@ type manifest = {
   m_deltas : string list; (* layer: relation names; dump roots are (added, removed) pairs in this order *)
   m_checksums : (string * int * int) list; (* file, size, crc32 *)
   m_certified : (string * int) option; (* base: chain-tip (key, snapshot) a semantic certification vouched for *)
+  m_legacy : bool; (* base format 3 / layer format 1: a dump's checksum covers its trailer too *)
 }
 
 let empty =
@@ -232,16 +239,25 @@ let empty =
     m_deltas = [];
     m_checksums = [];
     m_certified = None;
+    m_legacy = false;
   }
 
-let magic ~layer =
-  if layer then Printf.sprintf "whalelam-layer %d" layer_format_version
-  else Printf.sprintf "whalelam-store %d" format_version
+let magic ~layer ~legacy =
+  if layer then Printf.sprintf "whalelam-layer %d" (if legacy then 1 else layer_format_version)
+  else Printf.sprintf "whalelam-store %d" (if legacy then 3 else format_version)
+
+(* The bytes a dump's [checksum] line covers: all but the 4-byte CRC
+   trailer [Bdd.serialize] appends, unless the manifest is legacy. *)
+let trailer_bytes = 4
+
+let checked_len ~legacy file data =
+  let n = String.length data in
+  if legacy || (not (Filename.check_suffix file ".bdd")) || n < trailer_bytes then n else n - trailer_bytes
 
 let render m =
   let layer = m.m_index > 0 in
   let b = Buffer.create 1024 in
-  Printf.bprintf b "%s\n" (magic ~layer);
+  Printf.bprintf b "%s\n" (magic ~layer ~legacy:m.m_legacy);
   if layer then Printf.bprintf b "layer %d\n" m.m_index;
   Printf.bprintf b "key %s\n" m.m_key;
   Printf.bprintf b "snapshot %d\n" m.m_snapshot;
@@ -316,10 +332,13 @@ let verify_selfsum path lines =
 let parse_manifest ~layer path =
   let what = if layer then "layer manifest" else "manifest" in
   let lines = read_lines path in
-  (match lines with
-  | first :: _ when first = magic ~layer -> ()
-  | first :: _ -> bad ~path ~line:1 "unsupported %s format: %s" (if layer then "layer" else "store") first
-  | [] -> bad ~path ~line:1 "empty %s" what);
+  let legacy =
+    match lines with
+    | first :: _ when first = magic ~layer ~legacy:false -> false
+    | first :: _ when first = magic ~layer ~legacy:true -> true
+    | first :: _ -> bad ~path ~line:1 "unsupported %s format: %s" (if layer then "layer" else "store") first
+    | [] -> bad ~path ~line:1 "empty %s" what
+  in
   (match List.rev lines with
   | "end" :: _ -> ()
   | _ -> bad ~path ~line:(List.length lines) "missing end trailer (truncated %s)" what);
@@ -401,6 +420,7 @@ let parse_manifest ~layer path =
     m_deltas = List.rev !deltas;
     m_checksums = List.rev !checksums;
     m_certified = !certified;
+    m_legacy = legacy;
   }
 
 (* --- Writing a chain element --- *)
@@ -460,7 +480,7 @@ let commit dir ~floor ~maps ~dump m =
         [ read_serial (serial_path dir); scan_snapshot (manifest_path dir) ]
   in
   let checksums =
-    (bdd_file n, String.length dump, Crc32.string dump)
+    (bdd_file n, String.length dump, Crc32.update 0 dump ~pos:0 ~len:(checked_len ~legacy:false (bdd_file n) dump))
     :: List.map (fun (dn, content) -> (map_file n dn, String.length content, Crc32.string content)) maps
   in
   mkdir_p (subdir dir);
@@ -474,7 +494,7 @@ let commit dir ~floor ~maps ~dump m =
   end;
   List.iter (fun (dn, content) -> write_atomic (store_path dir (map_file n dn)) content) maps;
   write_atomic (store_path dir (bdd_file n)) dump;
-  write_atomic mpath (render { m with m_snapshot = snapshot; m_checksums = checksums })
+  write_atomic mpath (render { m with m_snapshot = snapshot; m_checksums = checksums; m_legacy = false })
 
 let save ~dir ~key ~config ~space ~relations =
   List.iter
@@ -620,10 +640,19 @@ let verified_read dir (e : manifest) file =
     if String.length data <> size then
       bad ~path ~line:0 "size mismatch: manifest says %d bytes, file has %d (corrupt or torn write)" size
         (String.length data);
-    let actual = Crc32.string data in
+    let checked = checked_len ~legacy:e.m_legacy file data in
+    let actual = Crc32.update 0 data ~pos:0 ~len:checked in
     if actual <> crc then
       bad ~path ~line:0 "checksum mismatch: manifest says crc32 %s, content is %s (corrupt store)"
         (Crc32.to_hex crc) (Crc32.to_hex actual);
+    (* The trailer a checksum leaves out holds the dump's own CRC of
+       the same bytes: it must agree, so every byte is checked here. *)
+    if checked < size then begin
+      let trailer = Int32.to_int (String.get_int32_le data checked) land 0xFFFFFFFF in
+      if trailer <> crc then
+        bad ~path ~line:0 "checksum mismatch: manifest says crc32 %s, dump trailer says %s (corrupt store)"
+          (Crc32.to_hex crc) (Crc32.to_hex trailer)
+    end;
     data
 
 let lines_of_string s =
@@ -882,12 +911,10 @@ let verify ?(structural = true) ~dir () =
     | m ->
       let check_files e =
         List.iter
-          (fun (file, _, _) ->
+          (fun (file, size, crc) ->
             match verified_read dir e file with
             | exception Solver_error.Error e -> push file false (Solver_error.to_string e)
-            | data ->
-              push file true
-                (Printf.sprintf "crc32 %s, %d bytes" (Crc32.to_hex (Crc32.string data)) (String.length data)))
+            | _ -> push file true (Printf.sprintf "crc32 %s, %d bytes" (Crc32.to_hex crc) size))
           e.m_checksums
       in
       push "manifest" true

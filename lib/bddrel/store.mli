@@ -33,7 +33,10 @@
 
     {b Integrity (checksums).}  The manifest records a CRC-32 and byte
     size for each data file — verified on {!load} before a byte is
-    interpreted — plus a [selfsum] CRC-32 of the manifest itself.  Any
+    interpreted — plus a [selfsum] CRC-32 of the manifest itself.  A
+    BDD dump's CRC covers the dump without its own CRC trailer (whose
+    value must match too): the CRC of a whole CRC-terminated dump is a
+    constant, and could not tell a dump from another save's.  Any
     corruption is a structured checksum error naming the file and the
     expected/actual CRC, never a crash deep in [Bdd.deserialize].
 
@@ -44,10 +47,13 @@
 type t
 
 val format_version : int
+(** 4.  Format 3 manifests, whose dump checksums cover the whole file,
+    are still read, and keep their format when re-marked. *)
 
 val layer_format_version : int
 (** Format of the delta-layer manifests ([layer.<n>.manifest]); the
-    chain format evolves independently of the base store format. *)
+    chain format evolves independently of the base store format.  2;
+    format 1 (whole-file dump checksums) is still read. *)
 
 val save :
   dir:string ->

@@ -42,6 +42,10 @@ val make_context : ?max_bits:int -> Jir.Factgen.t -> ie:(int * int) list -> Cont
 (** Algorithm 4 over a discovered call graph (roots:
     {!Callgraph.default_roots}). *)
 
+val install_context_inputs : Datalog.Engine.t -> Context.t -> unit
+(** Install a context numbering's [IEC]/[mC] BDDs into an engine built
+    from an Algorithm 5 program. *)
+
 val prepare_cs :
   ?options:Datalog.Engine.options ->
   ?query:Programs.query_suffix ->

@@ -51,17 +51,21 @@ let layout_mismatch ~stored ~current =
     let s = space_shape stored and c = space_shape current in
     if s = c then None
     else
+      (* Both shapes are sorted by (domain, instance): walk them in
+         step and name the first block that differs. *)
       let rec first_diff s c =
         match (s, c) with
-        | (dn, i, _) :: s', (dn', i', _) :: c' ->
-          if (dn, i) = (dn', i') then first_diff s' c' else Some (Printf.sprintf "block %s#%d" dn i)
-        | ((dn, i, _) :: _, []) | ([], (dn, i, _) :: _) -> Some (Printf.sprintf "block %s#%d" dn i)
-        | [], [] -> None
+        | (dn, i, b) :: s', (dn', i', b') :: c' when (dn, i) = (dn', i') ->
+          if Array.length b <> Array.length b' then Printf.sprintf "block %s#%d resized" dn i
+          else if b <> b' then Printf.sprintf "block %s#%d moved" dn i
+          else first_diff s' c'
+        | (dn, i, _) :: _, (dn', i', _) :: _ ->
+          let dn, i = min (dn, i) (dn', i') in
+          Printf.sprintf "block %s#%d added or removed" dn i
+        | (dn, i, _) :: _, [] | [], (dn, i, _) :: _ -> Printf.sprintf "block %s#%d added or removed" dn i
+        | [], [] -> "layouts differ"
       in
-      Some
-        (match first_diff s c with
-        | Some which -> which ^ " moved or resized"
-        | None -> "block widths changed")
+      Some (first_diff s c)
 
 (* Copy every stored relation's BDD into the engine's manager as one
    shared-DAG transfer.  Only valid when the layouts match. *)

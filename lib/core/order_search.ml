@@ -1,8 +1,16 @@
 module Factgen = Jir.Factgen
 module Engine = Datalog.Engine
 
-type candidate = { order : string list; seconds : float; peak_nodes : int; rule_applications : int }
+type candidate = { order : string list; seconds : float; cache_misses : int; peak_nodes : int; rule_applications : int }
 type job = Basic of Analyses.basic | Context_sensitive of Context.t
+
+let declaration_order = function
+  | Basic _ -> [ "V"; "H"; "F"; "T"; "I"; "N"; "M"; "Z" ]
+  | Context_sensitive _ -> [ "V"; "H"; "F"; "T"; "I"; "N"; "M"; "Z"; "C" ]
+
+let committed_order = function
+  | Basic _ -> Programs.domain_order
+  | Context_sensitive _ -> Programs.domain_order @ [ "C" ]
 
 (* A tiny deterministic shuffler (no dependency on the synth library). *)
 let shuffle seed xs =
@@ -20,8 +28,7 @@ let shuffle seed xs =
   done;
   Array.to_list a
 
-let run_candidate fg job order =
-  let t0 = Unix.gettimeofday () in
+let prepare ?domain_order fg job =
   let text =
     match job with
     | Basic Analyses.Algo1 -> Programs.algo1 fg
@@ -29,38 +36,32 @@ let run_candidate fg job order =
     | Basic Analyses.Algo3 -> Programs.algo3 fg
     | Context_sensitive ctx -> Programs.algo5 fg ~csize:(Context.csize ctx)
   in
-  let eng = Engine.parse_and_create ~element_names:(Factgen.element_names fg) ~domain_order:order text in
+  let eng = Engine.parse_and_create ~element_names:(Factgen.element_names fg) ?domain_order text in
   List.iter
     (fun (name, tuples) -> Engine.set_tuples eng name (List.map Array.of_list tuples))
     (Programs.input_relations fg);
   (match job with
-  | Context_sensitive ctx ->
-    let block_of rel n = (Relation.find_attr rel n).Relation.block in
-    let iec = Engine.relation eng "IEC" in
-    Relation.set_bdd iec
-      (Context.iec_bdd ctx (Engine.space eng) ~caller:(block_of iec "caller") ~invoke:(block_of iec "invoke")
-         ~callee:(block_of iec "callee") ~target:(block_of iec "tgt"));
-    let mc = Engine.relation eng "mC" in
-    Relation.set_bdd mc
-      (Context.mc_bdd ctx (Engine.space eng) ~context:(block_of mc "context") ~target:(block_of mc "method"))
+  | Context_sensitive ctx -> Analyses.install_context_inputs eng ctx
   | Basic _ -> ());
-  let s = Engine.run eng in
+  eng
+
+let cache_misses (s : Engine.stats) = List.fold_left (fun acc (_, _, m) -> acc + m) 0 s.Engine.op_cache
+
+let measure fg job order =
+  let t0 = Unix.gettimeofday () in
+  let s = Engine.run (prepare ~domain_order:order fg job) in
   {
     order;
     seconds = Unix.gettimeofday () -. t0;
+    cache_misses = cache_misses s;
     peak_nodes = s.Engine.peak_live_nodes;
     rule_applications = s.Engine.rule_applications;
   }
 
 let search ?(budget = 6) ?(seed = 1) fg job =
-  let base = [ "V"; "H"; "F"; "T"; "I"; "N"; "M"; "Z" ] in
-  let base =
-    match job with
-    | Context_sensitive _ -> base @ [ "C" ]
-    | Basic _ -> base
-  in
+  let base = declaration_order job in
   let candidates =
-    base :: List.rev base :: List.init budget (fun i -> shuffle (seed + i) base)
+    base :: committed_order job :: List.rev base :: List.init budget (fun i -> shuffle (seed + i) base)
   in
   (* Deduplicate orders (a shuffle may reproduce one already tried). *)
   let seen = Hashtbl.create 8 in
@@ -75,5 +76,5 @@ let search ?(budget = 6) ?(seed = 1) fg job =
         end)
       candidates
   in
-  let results = List.map (run_candidate fg job) candidates in
-  List.sort (fun a b -> compare (a.peak_nodes, a.seconds) (b.peak_nodes, b.seconds)) results
+  let results = List.map (measure fg job) candidates in
+  List.sort (fun a b -> compare (a.cache_misses, a.seconds) (b.cache_misses, b.seconds)) results

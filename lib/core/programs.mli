@@ -26,6 +26,13 @@ type query_suffix = { q_relations : string; q_rules : string }
 
 val no_query : query_suffix
 
+val domain_order : string list
+(** The committed relative order of the variable blocks, emitted as
+    every program's [.bddvarorder] line: [N M I V F T H Z].  The
+    context domain [C], declared only by the context-sensitive
+    programs, goes last.  An explicit [?domain_order] given to
+    {!Datalog.Engine.create} overrides it. *)
+
 val algo1 : ?query:query_suffix -> Jir.Factgen.t -> string
 (** Context-insensitive points-to, CHA call graph, no type filter
     (Algorithm 1).  Outputs [vP(v,h)], [hP(h1,f,h2)]. *)

@@ -510,8 +510,8 @@ let test_order_search () =
   let fg = fg_of container_src in
   let candidates = Pta.Order_search.search ~budget:3 fg (Pta.Order_search.Basic Analyses.Algo2) in
   Alcotest.(check bool) "at least default and reverse" true (List.length candidates >= 2);
-  let peaks = List.map (fun c -> c.Pta.Order_search.peak_nodes) candidates in
-  Alcotest.(check bool) "sorted best-first" true (List.sort compare peaks = peaks)
+  let misses = List.map (fun c -> c.Pta.Order_search.cache_misses) candidates in
+  Alcotest.(check bool) "sorted best-first" true (List.sort compare misses = misses)
 
 (* --- Thread escape analysis --- *)
 

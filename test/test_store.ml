@@ -505,6 +505,68 @@ let test_verify_quarantine () =
   | Some dest2 -> Alcotest.(check bool) "fresh quarantine suffix" true (Filename.check_suffix dest2 ".broken.2")
   | None -> Alcotest.fail "second quarantine refused"
 
+(* --- Dump checksums ---------------------------------------------------
+   A dump ends in the CRC-32 of its own bytes, so the CRC-32 of a whole
+   dump is one constant residue.  The manifest records the CRC of the
+   dump without its trailer: a valid dump of the same size from
+   another save must not load under it.  Format-3 stores, whose
+   checksums cover the whole dump, must still load, verify and take a
+   certification mark. *)
+
+let store_file dir f = Filename.concat (Filename.concat dir "store") f
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+let write_all path data = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+let test_dump_bound_to_manifest () =
+  let save dir xs =
+    let sp = Space.create () in
+    let b = Space.alloc sp (named_domain "D" 8) in
+    let one = Relation.of_tuples sp ~name:"one" [ { Relation.attr_name = "x"; block = b } ] (List.map (fun x -> [| x |]) xs) in
+    Store.save ~dir ~key:"k" ~config:[] ~space:sp ~relations:[ one ]
+  in
+  let d1 = tmp_dir "store-bind-1" and d2 = tmp_dir "store-bind-2" in
+  (* x -> 7 - x complements every bit, so both BDDs have the same
+     number of nodes and the dumps the same size. *)
+  save d1 [ 3; 5 ];
+  save d2 [ 4; 2 ];
+  let mine = read_all (store_file d1 "relations.bdd") and other = read_all (store_file d2 "relations.bdd") in
+  Alcotest.(check int) "same dump size" (String.length mine) (String.length other);
+  Alcotest.(check bool) "different dumps" true (mine <> other);
+  write_all (store_file d1 "relations.bdd") other;
+  expect_bad_input "another save's dump" (fun () -> Store.load ~dir:d1);
+  Alcotest.(check bool) "byte-level verify flags it" true
+    (List.exists
+       (fun (c : Store.check) -> c.Store.chk_name = "relations.bdd" && not c.Store.chk_ok)
+       (Store.verify ~structural:false ~dir:d1 ()))
+
+(* Rewrite a store's manifest as format 3 wrote it: the old magic, the
+   whole-dump CRC, and a fresh selfsum. *)
+let downgrade_to_v3 dir =
+  let path = store_file dir "manifest" in
+  let dump = read_all (store_file dir "relations.bdd") in
+  let body =
+    In_channel.with_open_bin path In_channel.input_lines
+    |> List.filter (fun l -> l <> "end" && not (starts_with "selfsum " l))
+    |> List.map (fun l ->
+           if starts_with "whalelam-store " l then "whalelam-store 3"
+           else if starts_with "checksum relations.bdd " l then
+             Printf.sprintf "checksum relations.bdd %d %s" (String.length dump) (Crc32.to_hex (Crc32.string dump))
+           else l)
+    |> List.map (fun l -> l ^ "\n")
+    |> String.concat ""
+  in
+  write_all path (Printf.sprintf "%sselfsum %s\nend\n" body (Crc32.to_hex (Crc32.string body)))
+
+let test_legacy_format () =
+  let dir = tmp_dir "store-v3" in
+  save_b dir;
+  downgrade_to_v3 dir;
+  check_store_is "format-3 store" `B dir;
+  ignore (Store.mark_certified ~dir);
+  Alcotest.(check bool) "mark keeps format 3" true
+    (starts_with "whalelam-store 3\n" (read_all (store_file dir "manifest")));
+  check_store_is "format-3 store after mark" `B dir
+
 (* --- Golden on-disk format ---------------------------------------------
    A tiny deterministic store driven through [save], two [save_delta]s
    (the first grows a mapped domain, so the layer carries a replacement
@@ -627,7 +689,12 @@ let () =
           Alcotest.test_case "every byte flip in every file is a structured error" `Quick test_byte_flip_fuzz;
           Alcotest.test_case "verify and quarantine" `Quick test_verify_quarantine;
         ] );
-      ("format", [ Alcotest.test_case "golden on-disk bytes and fs-op sequence" `Quick test_golden_format ]);
+      ( "format",
+        [
+          Alcotest.test_case "golden on-disk bytes and fs-op sequence" `Quick test_golden_format;
+          Alcotest.test_case "same-size dump from another save rejected" `Quick test_dump_bound_to_manifest;
+          Alcotest.test_case "format-3 stores still read" `Quick test_legacy_format;
+        ] );
       ( "replication",
         [
           Alcotest.test_case "load racing a writer: old, new, or structured error" `Quick test_reader_race;
